@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,15 @@ from mycielski.errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-from mycielski.generators import complete, cycle, erdos_renyi_connected, path, petersen, star
+from mycielski.generators import (
+    complete,
+    cycle,
+    enumerate_connected,
+    erdos_renyi_connected,
+    path,
+    petersen,
+    star,
+)
 from mycielski.graph import (
     Graph,
     all_pairs_distances,
@@ -19,8 +29,25 @@ from mycielski.graph import (
     from_edge_list,
     parse_edge_list,
 )
+from mycielski.transform import mycielskian
 
-from conftest import connected_graphs
+from conftest import bfs_distances, connected_graphs
+
+
+def giant_component(n, p, seed):
+    """Largest component of a seeded G(n, p), relabelled in vertex order.
+
+    Unlike ``erdos_renyi_connected``, this never redraws, so it also gives
+    sparse graphs of large diameter, where G(n, p) is almost never connected.
+    """
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    g = Graph(n, zip(iu[keep].tolist(), iv[keep].tolist()))
+    d = bfs_distances(g)
+    largest = np.flatnonzero(d[np.argmax((d >= 0).sum(axis=1))] >= 0)
+    label = {int(v): i for i, v in enumerate(largest)}
+    return Graph(len(largest), [(label[u], label[v]) for u, v in g.edges if u in label])
 
 
 def floyd_warshall(g):
@@ -31,7 +58,7 @@ def floyd_warshall(g):
     for u, v in g.edges:
         d[u, v] = d[v, u] = 1
     for k in range(g.n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+        np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
     return d
 
 
@@ -93,6 +120,67 @@ class TestDistances:
         for seed in range(20):
             g = erdos_renyi_connected(9, 0.3, seed)
             assert np.array_equal(all_pairs_distances(g).d, floyd_warshall(g))
+
+    def test_single_vertex(self):
+        assert all_pairs_distances(Graph(1)).d.tolist() == [[0]]
+
+    def test_matches_references_on_small_graphs_and_their_mu(self):
+        graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+        for g in graphs + [mycielskian(g).mu for g in graphs]:
+            d = all_pairs_distances(g).d
+            assert np.array_equal(d, bfs_distances(g))
+            assert np.array_equal(d, floyd_warshall(g))
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 257])
+    def test_matches_references_across_block_boundaries(self, n):
+        for g in (erdos_renyi_connected(n, 0.05, n), cycle(n), giant_component(n, 0.02, n)):
+            d = all_pairs_distances(g).d
+            assert d.dtype == np.int64 and not d.flags.writeable
+            assert np.array_equal(d, bfs_distances(g))
+            assert np.array_equal(d, floyd_warshall(g))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: giant_component(1000, 0.005, 7)],
+        ids=["gnp1000_0.02", "giant_gnp1000_0.005"],
+    )
+    def test_matches_references_at_n1000(self, build):
+        g = build()
+        d = all_pairs_distances(g).d
+        assert np.array_equal(d, bfs_distances(g))
+        assert np.array_equal(d, floyd_warshall(g))
+
+    def test_disconnected_rejected_across_blocks(self):
+        g = Graph(200, [(v, v + 1) for v in range(199) if v != 149])
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(g)
+
+    @pytest.mark.parametrize("ratio", [0, 2**40], ids=["all_sparse", "all_dense"])
+    def test_each_level_form_is_exact_alone(self, ratio, monkeypatch):
+        # the kernel picks a form per level; forcing one form everywhere
+        # checks each against the reference on its own
+        monkeypatch.setattr("mycielski.graph._DENSE_RATIO", ratio)
+        graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+        graphs += [mycielskian(g).mu for g in graphs]
+        graphs += [Graph(1), star(130), cycle(129), erdos_renyi_connected(257, 0.05, 1)]
+        graphs += [giant_component(257, 0.02, 1)]
+        for g in graphs:
+            assert np.array_equal(all_pairs_distances(g).d, bfs_distances(g))
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(Graph(200, [(v, v + 1) for v in range(199) if v != 149]))
+
+    @pytest.mark.parametrize("build", [path, cycle])
+    def test_long_diameter_stays_fast(self, build):
+        # a dense product per level would cost about n^4 here (minutes);
+        # the sparse form keeps the whole APSP near n^2
+        n = 2000
+        start = time.perf_counter()
+        d = all_pairs_distances(build(n)).d
+        elapsed = time.perf_counter() - start
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        expected = gap if build is path else np.minimum(gap, n - gap)
+        assert np.array_equal(d, expected)
+        assert elapsed < 30.0
 
     @given(connected_graphs())
     @settings(max_examples=60)

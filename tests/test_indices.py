@@ -23,7 +23,7 @@ from mycielski.indices import (
 )
 from mycielski.transform import mycielskian
 
-from conftest import connected_graphs
+from conftest import bfs_distances, connected_graphs
 
 
 class TestWiener:
@@ -113,6 +113,17 @@ class TestDistance2DegreeSum:
     )
     def test_identity_when_diameter_two_or_less(self, g):
         assert distance2_degree_sum(g) == 2 * (g.n - 1) * g.m - first_zagreb(g)
+
+
+class TestRowSumForms:
+    @given(connected_graphs())
+    @settings(max_examples=50)
+    def test_equal_definitional_pair_loops(self, g):
+        d = bfs_distances(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        weight = {(u, v): g.degree(u) + g.degree(v) for u, v in pairs}
+        assert degree_distance(g) == sum(int(d[p]) * weight[p] for p in pairs)
+        assert distance2_degree_sum(g) == sum(weight[p] for p in pairs if d[p] == 2)
 
 
 class TestClosedFormDegreeDistance:
