@@ -22,13 +22,13 @@ from .errors import (
     VertexOutOfRangeError,
 )
 from .generators import (
-    FamilySpec,
+    FAMILIES,
+    build_family,
     complete,
     complete_bipartite,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
-    generate,
     path,
     petersen,
     star,
@@ -37,10 +37,8 @@ from .graph import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
-    degree_extremes,
     diameter,
     format_edge_list,
-    from_edge_list,
     parse_edge_list,
     read_edge_list,
     write_edge_list,
@@ -69,11 +67,7 @@ from .verify import (
     Failure,
     VerificationOutcome,
     verify_corpus,
-    verify_lemma3,
-    verify_observation1,
-    verify_observation2,
-    verify_randic_bounds,
-    verify_theorem_dd,
+    verify_graph,
 )
 
 __version__ = "0.1.0"

@@ -6,6 +6,8 @@ corpus), ``enumerate`` (stream all labeled connected graphs of one
 order). Output for a fixed command line is byte-identical across runs:
 ordering is fixed, floats carry 12 significant digits, seeds are
 explicit, and verify timings are zeroed unless ``--timings`` is given.
+Each subcommand accepts only its own flags; any other flag is a usage
+error.
 
 Exit status: 0 success, 1 usage error, 2 input parse error,
 3 hypothesis violation, 4 verification failure.
@@ -20,16 +22,7 @@ import sys
 from typing import Iterable, TextIO
 
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
-from .generators import (
-    complete,
-    complete_bipartite,
-    cycle,
-    enumerate_connected,
-    erdos_renyi_connected,
-    path,
-    petersen,
-    star,
-)
+from .generators import FAMILIES, build_family, enumerate_connected, erdos_renyi_connected
 from .graph import Graph, format_edge_list, read_edge_list
 from .indices import dd_mycielskian_closed, index_report, randic_bounds
 from .transform import mycielskian
@@ -60,41 +53,12 @@ def _json_float(x: float) -> float:
     return float(_fmt_float(x))
 
 
-def parse_family(text: str) -> Graph:
-    """Build a graph from a family spec like ``cycle:5`` or ``gnp:12,0.4,42``."""
-    kind, _, arg = text.partition(":")
-    try:
-        params = [s for s in arg.split(",") if s] if arg else []
-        if kind == "path":
-            (n,) = map(int, params)
-            return path(n)
-        if kind == "cycle":
-            (n,) = map(int, params)
-            return cycle(n)
-        if kind == "complete":
-            (n,) = map(int, params)
-            return complete(n)
-        if kind == "star":
-            (leaves,) = map(int, params)
-            return star(leaves)
-        if kind == "kbipartite":
-            a, b = map(int, params)
-            return complete_bipartite(a, b)
-        if kind == "petersen":
-            if params:
-                raise _UsageError("petersen takes no parameters")
-            return petersen()
-        if kind == "gnp":
-            n_s, p_s, seed_s = params
-            return erdos_renyi_connected(int(n_s), float(p_s), int(seed_s))
-    except (ValueError, InvalidParameterError) as exc:
-        raise _UsageError(f"bad family spec {text!r}: {exc}") from exc
-    raise _UsageError(f"unknown family {kind!r}")
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.family is not None:
-        return parse_family(args.family)
+        try:
+            return build_family(args.family)
+        except InvalidParameterError as exc:
+            raise _UsageError(f"bad family spec {args.family!r}: {exc}") from exc
     try:
         return read_edge_list(args.input)
     except OSError as exc:
@@ -107,13 +71,7 @@ def _open_output(args: argparse.Namespace) -> TextIO:
     return open(args.output, "w", encoding="utf-8", newline="\n")
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...]) -> None:
-    if fmt not in allowed:
-        raise _UsageError(f"format {fmt!r} not valid here (choose from {', '.join(allowed)})")
-
-
 def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
-    _check_format(args.format, ("json", "csv"))
     g = _load_graph(args)
     report = index_report(g)
     record: dict[str, object] = report.as_dict()
@@ -139,7 +97,6 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_mycielskian(args: argparse.Namespace, out: TextIO) -> int:
-    _check_format(args.format, ("edgelist",))
     g = _load_graph(args)
     layout = mycielskian(g)
     n = g.n
@@ -149,30 +106,24 @@ def _cmd_mycielskian(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
-    sources = [
-        args.enumerate is not None,
-        args.gnp is not None,
-        args.family is not None,
-        args.input is not None,
-    ]
-    if sum(sources) != 1:
-        raise _UsageError("give exactly one corpus source: --enumerate, --gnp, --family or --input")
-    if args.enumerate is not None:
-        return enumerate_connected(args.enumerate)
-    if args.gnp is not None:
-        try:
-            n_s, p_s, seed_s = args.gnp.split(",")
-            n, p, seed = int(n_s), float(p_s), int(seed_s)
-        except ValueError as exc:
-            raise _UsageError(f"bad --gnp value {args.gnp!r}: expected n,p,seed") from exc
-        if args.trials < 1:
-            raise _UsageError("--trials must be at least 1")
-        return (erdos_renyi_connected(n, p, seed + t) for t in range(args.trials))
-    return [_load_graph(args)]
+    if args.gnp is None:
+        if args.trials is not None:
+            raise _UsageError("--trials needs --gnp")
+        if args.enumerate is not None:
+            return enumerate_connected(args.enumerate)
+        return [_load_graph(args)]
+    try:
+        n_s, p_s, seed_s = args.gnp.split(",")
+        n, p, seed = int(n_s), float(p_s), int(seed_s)
+    except ValueError as exc:
+        raise _UsageError(f"bad --gnp value {args.gnp!r}: expected n,p,seed") from exc
+    trials = 1 if args.trials is None else args.trials
+    if trials < 1:
+        raise _UsageError("--trials must be at least 1")
+    return (erdos_renyi_connected(n, p, seed + t) for t in range(trials))
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    _check_format(args.format, ("json",))
     if args.claims is None:
         claims = list(CLAIM_IDS)
     else:
@@ -190,9 +141,6 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
-    _check_format(args.format, ("edgelist",))
-    if args.enumerate is None:
-        raise _UsageError("enumerate requires --enumerate <n>")
     first = True
     for g in enumerate_connected(args.enumerate):
         if not first:
@@ -202,49 +150,52 @@ def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "compute": (_cmd_compute, "json"),
-    "mycielskian": (_cmd_mycielskian, "edgelist"),
-    "verify": (_cmd_verify, "json"),
-    "enumerate": (_cmd_enumerate, "edgelist"),
+_SOURCES = {
+    "--input": {"help": "edge-list file ('n m' header, one 'u v' per line)"},
+    "--family": {"metavar": "SPEC",
+                 "help": f"NAME or NAME:P1,P2,... with NAME one of {', '.join(FAMILIES)}"},
+    "--enumerate": {"type": int, "metavar": "N",
+                    "help": "all labeled connected graphs on N vertices (N <= 6)"},
+    "--gnp": {"metavar": "N,P,SEED", "help": "seeded connected G(n,p) corpus"},
 }
+
+
+def _add_command(sub, name: str, handler, sources: tuple[str, ...]) -> argparse.ArgumentParser:
+    p = sub.add_parser(name)
+    p.set_defaults(handler=handler)
+    group = p.add_mutually_exclusive_group(required=True)
+    for flag in sources:
+        group.add_argument(flag, **_SOURCES[flag])
+    p.add_argument("--output", help="write to this path instead of stdout")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mycielski", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", help="edge-list file ('n m' header, one 'u v' per line)")
-        p.add_argument("--family", help="family spec, e.g. cycle:5, kbipartite:2,3, gnp:12,0.4,42")
-        p.add_argument("--format", choices=["json", "csv", "edgelist"], default=None)
-        p.add_argument("--claims", help="comma-separated claim ids (default: all)")
-        p.add_argument("--enumerate", type=int, metavar="N",
-                       help="all labeled connected graphs on N vertices (N <= 6)")
-        p.add_argument("--gnp", metavar="N,P,SEED", help="seeded connected G(n,p) corpus")
-        p.add_argument("--trials", type=int, default=1,
-                       help="number of gnp samples, seeds SEED..SEED+k-1")
-        p.add_argument("--relax-diameter", action="store_true",
-                       help="evaluate the DD closed form outside diameter 2 (exploratory)")
-        p.add_argument("--timings", action="store_true",
-                       help="include measured elapsed_ms in verify reports")
-        p.add_argument("--output", help="write to this path instead of stdout")
+    compute = _add_command(sub, "compute", _cmd_compute, ("--family", "--input"))
+    compute.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_command(sub, "mycielskian", _cmd_mycielskian, ("--family", "--input"))
+    verify = _add_command(
+        sub, "verify", _cmd_verify, ("--enumerate", "--gnp", "--family", "--input")
+    )
+    verify.add_argument("--claims", help="comma-separated claim ids (default: all)")
+    verify.add_argument("--trials", type=int,
+                        help="number of --gnp samples, seeds SEED..SEED+k-1 (default 1)")
+    verify.add_argument("--relax-diameter", action="store_true",
+                        help="evaluate the DD closed form outside diameter 2 (exploratory)")
+    verify.add_argument("--timings", action="store_true",
+                        help="include measured elapsed_ms in the report")
+    _add_command(sub, "enumerate", _cmd_enumerate, ("--enumerate",))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler, default_format = _COMMANDS[args.command]
-    if args.format is None:
-        args.format = default_format
-    needs_input = args.command in ("compute", "mycielskian")
+    args = build_parser().parse_args(argv)
     try:
-        if needs_input and (args.family is None) == (args.input is None):
-            raise _UsageError("give exactly one of --family or --input")
         out = _open_output(args)
         try:
-            return handler(args, out)
+            return args.handler(args, out)
         finally:
             if out is not sys.stdout:
                 out.close()

@@ -18,7 +18,7 @@ class DisconnectedError(GraphError):
 
 
 class TooSmallError(GraphError):
-    """The Mycielskian needs at least 2 vertices and 1 edge to be connected."""
+    """The Mycielskian is connected only when the graph has no isolated vertex."""
 
 
 class MatrixMismatchError(GraphError):

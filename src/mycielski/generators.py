@@ -7,7 +7,6 @@ stream, so equal inputs give bit-identical edge sets on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -15,8 +14,8 @@ from .errors import InvalidParameterError, TooLargeError
 from .graph import Graph
 
 __all__ = [
-    "FamilySpec",
-    "generate",
+    "FAMILIES",
+    "build_family",
     "path",
     "cycle",
     "complete",
@@ -78,37 +77,6 @@ def petersen() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family plus its integer parameters."""
-
-    kind: str
-    params: tuple[int, ...] = ()
-
-
-_FAMILY_BUILDERS = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "star": (star, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "petersen": (petersen, 0),
-}
-
-
-def generate(spec: FamilySpec) -> Graph:
-    """Build the canonical representative of a family spec."""
-    try:
-        builder, arity = _FAMILY_BUILDERS[spec.kind]
-    except KeyError:
-        raise InvalidParameterError(f"unknown family kind {spec.kind!r}") from None
-    if len(spec.params) != arity:
-        raise InvalidParameterError(
-            f"{spec.kind} takes {arity} parameter(s), got {len(spec.params)}"
-        )
-    return builder(*spec.params)
-
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -148,6 +116,46 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
         if g.is_connected():
             return g
         attempt = (attempt + 1) & _MASK64
+
+
+# Family spec name -> (builder, parameter types). The builder is held by
+# name and looked up when a spec is built, so a later rebinding of the
+# module attribute (a tracer wrapping it, say) is the one that runs.
+FAMILIES = {
+    "path": ("path", (int,)),
+    "cycle": ("cycle", (int,)),
+    "complete": ("complete", (int,)),
+    "star": ("star", (int,)),
+    "kbipartite": ("complete_bipartite", (int, int)),
+    "petersen": ("petersen", ()),
+    "gnp": ("erdos_renyi_connected", (int, float, int)),
+}
+
+
+def build_family(spec: str) -> Graph:
+    """Build the graph a family spec names: ``NAME`` or ``NAME:P1,P2,...``.
+
+    For example ``cycle:5``, ``kbipartite:2,3``, ``petersen`` or
+    ``gnp:12,0.4,42`` (n, p, seed). An unknown name, a wrong parameter
+    count or a parameter of the wrong type raises InvalidParameterError,
+    as does a builder rejecting its parameters.
+    """
+    kind, _, arg = spec.partition(":")
+    if kind not in FAMILIES:
+        raise InvalidParameterError(
+            f"unknown family {kind!r}; available: {', '.join(FAMILIES)}"
+        )
+    builder, types = FAMILIES[kind]
+    params = [s for s in arg.split(",") if s]
+    if len(params) != len(types):
+        raise InvalidParameterError(
+            f"{kind} takes {len(types)} parameter(s), got {len(params)}"
+        )
+    try:
+        values = [t(s) for t, s in zip(types, params)]
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad parameter in {spec!r}: {exc}") from None
+    return globals()[builder](*values)
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:

@@ -31,10 +31,8 @@ from .errors import (
 __all__ = [
     "Graph",
     "DistanceMatrix",
-    "from_edge_list",
     "all_pairs_distances",
     "diameter",
-    "degree_extremes",
     "parse_edge_list",
     "format_edge_list",
     "read_edge_list",
@@ -114,7 +112,6 @@ class Graph:
 class DistanceMatrix:
     """Exact hop distances of a connected graph as an ``(n, n)`` int64 array."""
 
-    n: int
     d: np.ndarray
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
@@ -122,11 +119,6 @@ class DistanceMatrix:
 
     def max(self) -> int:
         return int(self.d.max())
-
-
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a validated graph; duplicate pairs collapse to one edge."""
-    return Graph(n, pairs)
 
 
 # Sources per block: a block's working arrays stay O(128 n).
@@ -208,17 +200,12 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             s = lo + int(np.argmax(rows.min(axis=1) < 0))
             raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
     d.setflags(write=False)
-    return DistanceMatrix(n, d)
+    return DistanceMatrix(d)
 
 
 def diameter(g: Graph) -> int:
     """Largest hop distance over all vertex pairs."""
     return all_pairs_distances(g).max()
-
-
-def degree_extremes(g: Graph) -> tuple[int, int]:
-    """(minimum degree, maximum degree) of the degree sequence."""
-    return min(g.degrees), max(g.degrees)
 
 
 # Edge-list text format: first line "n m", then m lines "u v", LF endings.

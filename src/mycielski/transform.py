@@ -49,13 +49,13 @@ def mycielskian(g: Graph) -> MycielskianLayout:
 
     Edges are the base edges, one ``(u, shadow(v))`` and ``(v, shadow(u))``
     pair per base edge, and the root joined to every shadow, giving
-    ``3m + n`` edges on ``2n + 1`` vertices. Inputs with fewer than two
-    vertices or no edges are rejected because their Mycielskian is
-    disconnected.
+    ``3m + n`` edges on ``2n + 1`` vertices. mu(G) is connected exactly
+    when G has no isolated vertex, so an input with one (K1 and edgeless
+    graphs included) raises TooSmallError.
     """
     n = g.n
-    if n < 2 or g.m == 0:
-        raise TooSmallError(f"need n >= 2 and m >= 1, got n={n}, m={g.m}")
+    if 0 in g.degrees:
+        raise TooSmallError(f"vertex {g.degrees.index(0)} is isolated, so mu(G) is disconnected")
     pairs: list[tuple[int, int]] = list(g.edges)
     for u, v in g.edges:
         pairs.append((u, n + v))
@@ -95,8 +95,8 @@ def mu_distance(layout: MycielskianLayout, dg: DistanceMatrix, u: int, v: int) -
     ``dg`` must be the all-pairs distance matrix of the base graph.
     """
     n = layout.base.n
-    if dg.n != n:
-        raise MatrixMismatchError(f"distance matrix is {dg.n}x{dg.n}, base has n={n}")
+    if dg.d.shape[0] != n:
+        raise MatrixMismatchError(f"distance matrix is {dg.d.shape}, base has n={n}")
     root = 2 * n
     if not (0 <= u <= root and 0 <= v <= root):
         raise VertexOutOfRangeError(f"pair ({u}, {v}) outside 0..{root}")
@@ -126,8 +126,8 @@ def mu_distance_matrix(layout: MycielskianLayout, dg: DistanceMatrix) -> Distanc
     agrees entrywise with BFS on the constructed Mycielskian.
     """
     n = layout.base.n
-    if dg.n != n:
-        raise MatrixMismatchError(f"distance matrix is {dg.n}x{dg.n}, base has n={n}")
+    if dg.d.shape[0] != n:
+        raise MatrixMismatchError(f"distance matrix is {dg.d.shape}, base has n={n}")
     size = 2 * n + 1
     d = np.zeros((size, size), dtype=np.int64)
     d[:n, :n] = np.minimum(dg.d, 4)
@@ -142,4 +142,4 @@ def mu_distance_matrix(layout: MycielskianLayout, dg: DistanceMatrix) -> Distanc
     d[2 * n, n : 2 * n] = 1
     d[n : 2 * n, 2 * n] = 1
     d.setflags(write=False)
-    return DistanceMatrix(size, d)
+    return DistanceMatrix(d)

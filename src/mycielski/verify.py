@@ -23,7 +23,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DiameterNotTwoError
+from .errors import (
+    DiameterNotTwoError,
+    DisconnectedError,
+    GraphError,
+    InvalidParameterError,
+    TooSmallError,
+)
 from .graph import DistanceMatrix, Graph, all_pairs_distances
 from .indices import (
     dd_mycielskian_closed,
@@ -40,15 +46,9 @@ __all__ = [
     "BOUND_TOL",
     "Failure",
     "VerificationOutcome",
-    "verify_observation1",
-    "verify_observation2",
-    "verify_lemma3",
-    "verify_theorem_dd",
-    "verify_randic_bounds",
+    "verify_graph",
     "verify_corpus",
 ]
-
-CLAIM_IDS = ("obs1", "obs2", "lemma3", "thm_dd", "randic_bounds", "randic_equality")
 
 BOUND_TOL = 1e-9
 
@@ -109,7 +109,43 @@ class VerificationOutcome:
         }
 
 
-def _check_obs1(g: Graph, layout: MycielskianLayout) -> tuple[int, Failure | None]:
+def _context(
+    g: Graph, relax_diameter: bool
+) -> tuple[MycielskianLayout | None, DistanceMatrix | None, dict[str, GraphError | None]]:
+    """What the claims share about one graph, each computed once.
+
+    Returns mu(G) (None if G has an isolated vertex), the distances of G
+    (None if G is disconnected) and, per hypothesis, None if it holds or
+    else the error that a single graph outside it raises.
+    """
+    layout = None if 0 in g.degrees else mycielskian(g)
+    dm = all_pairs_distances(g) if g.is_connected() else None
+    isolated = disconnected = not_two = irregular = None
+    if layout is None:
+        isolated = TooSmallError("an isolated vertex makes mu(G) disconnected")
+    if dm is None:
+        disconnected = DisconnectedError("the claim needs a connected graph")
+    elif (diameter := dm.max()) != 2:
+        not_two = DiameterNotTwoError(diameter)
+    if min(g.degrees) != max(g.degrees):
+        irregular = InvalidParameterError("the claim needs a regular graph")
+    connected = disconnected or isolated
+    diameter_two = disconnected or not_two
+    violations = {
+        "no_isolated": isolated,
+        "connected": connected,
+        "diameter_two": diameter_two,
+        "diameter_two_or_relaxed": connected if relax_diameter else diameter_two,
+        "regular": isolated or irregular,
+    }
+    return layout, dm, violations
+
+
+# Every check takes (g, layout, dm) and returns its number of comparisons
+# and the failure, if any.
+
+
+def _check_obs1(g: Graph, layout: MycielskianLayout, dm) -> tuple[int, Failure | None]:
     by_formula = [mu_degree(layout, v) for v in range(layout.mu.n)]
     by_adjacency = list(layout.mu.degrees)
     if by_formula != by_adjacency:
@@ -118,9 +154,9 @@ def _check_obs1(g: Graph, layout: MycielskianLayout) -> tuple[int, Failure | Non
 
 
 def _check_obs2(
-    g: Graph, layout: MycielskianLayout, dg: DistanceMatrix
+    g: Graph, layout: MycielskianLayout, dm: DistanceMatrix
 ) -> tuple[int, Failure | None]:
-    closed = mu_distance_matrix(layout, dg).d
+    closed = mu_distance_matrix(layout, dm).d
     bfs = all_pairs_distances(layout.mu).d
     if not np.array_equal(closed, bfs):
         bad = np.argwhere(closed != bfs)
@@ -132,7 +168,7 @@ def _check_obs2(
     return closed.size, None
 
 
-def _check_lemma3(g: Graph) -> tuple[int, Failure | None]:
+def _check_lemma3(g: Graph, layout, dm) -> tuple[int, Failure | None]:
     brute = distance2_degree_sum(g)
     formula = 2 * (g.n - 1) * g.m - first_zagreb(g)
     if brute != formula:
@@ -140,94 +176,88 @@ def _check_lemma3(g: Graph) -> tuple[int, Failure | None]:
     return 1, None
 
 
-def _check_thm_dd(g: Graph, *, check_diameter: bool) -> tuple[int, Failure | None]:
-    closed = dd_mycielskian_closed(g, check_diameter=check_diameter)
+def _check_thm_dd(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+    # the hypothesis is settled before the check, so the closed form skips its own
+    closed = dd_mycielskian_closed(g, check_diameter=False)
     brute = degree_distance(mycielskian(g).mu)
     if closed != brute:
         return 1, Failure(g.edges, brute, closed)
     return 1, None
 
 
-def _check_randic(g: Graph, *, equality: bool) -> tuple[int, Failure | None]:
-    bounds = randic_bounds(g)
-    r_mu = randic(mycielskian(g).mu)
-    witness = {"lower": bounds.lower, "upper": bounds.upper}
-    if equality:
-        if abs(r_mu - bounds.lower) > BOUND_TOL or abs(r_mu - bounds.upper) > BOUND_TOL:
-            return 2, Failure(g.edges, witness, r_mu)
-        return 2, None
+def _check_randic_bounds(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+    bounds, r_mu = randic_bounds(g), randic(mycielskian(g).mu)
     if not (bounds.lower - BOUND_TOL <= r_mu <= bounds.upper + BOUND_TOL):
-        return 2, Failure(g.edges, witness, r_mu)
+        return 2, Failure(g.edges, {"lower": bounds.lower, "upper": bounds.upper}, r_mu)
     return 2, None
 
 
-def _timed(outcome: VerificationOutcome, started: float) -> VerificationOutcome:
-    outcome.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return outcome
+def _check_randic_equality(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+    bounds, r_mu = randic_bounds(g), randic(mycielskian(g).mu)
+    if abs(r_mu - bounds.lower) > BOUND_TOL or abs(r_mu - bounds.upper) > BOUND_TOL:
+        return 2, Failure(g.edges, {"lower": bounds.lower, "upper": bounds.upper}, r_mu)
+    return 2, None
 
 
-def verify_observation1(g: Graph) -> VerificationOutcome:
-    """Check the Mycielskian degree formula on every vertex of mu(g)."""
-    started = time.perf_counter()
-    checked, failure = _check_obs1(g, mycielskian(g))
-    out = VerificationOutcome("obs1", checked=checked)
-    if failure:
-        out.failures.append(failure)
-    return _timed(out, started)
+# claim id -> (hypothesis, check), in report order
+_CLAIMS = {
+    "obs1": ("no_isolated", _check_obs1),
+    "obs2": ("connected", _check_obs2),
+    "lemma3": ("diameter_two", _check_lemma3),
+    "thm_dd": ("diameter_two_or_relaxed", _check_thm_dd),
+    "randic_bounds": ("no_isolated", _check_randic_bounds),
+    "randic_equality": ("regular", _check_randic_equality),
+}
+
+CLAIM_IDS = tuple(_CLAIMS)
 
 
-def verify_observation2(g: Graph) -> VerificationOutcome:
-    """Compare the closed-form distance matrix of mu(g) against BFS."""
-    started = time.perf_counter()
-    layout = mycielskian(g)
-    checked, failure = _check_obs2(g, layout, all_pairs_distances(g))
-    out = VerificationOutcome("obs2", checked=checked)
-    if failure:
-        out.failures.append(failure)
-    return _timed(out, started)
+def _run(
+    claims: Iterable[str], corpus: Iterable[Graph], relax_diameter: bool, strict: bool
+) -> list[VerificationOutcome]:
+    requested = set(claims)
+    unknown = requested - set(CLAIM_IDS)
+    if unknown:
+        raise ValueError(f"unknown claim ids: {sorted(unknown)}")
+    active = [(c, *_CLAIMS[c]) for c in CLAIM_IDS if c in requested]
+    outcomes = {c: VerificationOutcome(c) for c, _, _ in active}
+
+    for g in corpus:
+        layout, dm, violations = _context(g, relax_diameter)
+        for claim, hypothesis, check in active:
+            out = outcomes[claim]
+            started = time.perf_counter()
+            violation = violations[hypothesis]
+            if violation is None:
+                checked, failure = check(g, layout, dm)
+                out.checked += checked
+                if failure:
+                    out.failures.append(failure)
+            elif strict:
+                raise violation
+            else:
+                out.skipped += 1
+            out.elapsed_ms += (time.perf_counter() - started) * 1000.0
+
+    for out in outcomes.values():
+        out.failures.sort(key=lambda f: f.edges)
+    return list(outcomes.values())
 
 
-def verify_lemma3(g: Graph) -> VerificationOutcome:
-    """Check the distance-2 degree-sum identity; requires diameter 2."""
-    started = time.perf_counter()
-    dm = all_pairs_distances(g)
-    if dm.max() != 2:
-        raise DiameterNotTwoError(dm.max())
-    checked, failure = _check_lemma3(g)
-    out = VerificationOutcome("lemma3", checked=checked)
-    if failure:
-        out.failures.append(failure)
-    return _timed(out, started)
+def verify_graph(claim: str, g: Graph, *, relax_diameter: bool = False) -> VerificationOutcome:
+    """Run one claim on one graph.
 
-
-def verify_theorem_dd(g: Graph, relax_diameter: bool = False) -> VerificationOutcome:
-    """Check closed-form DD(mu) against the brute-force value.
-
-    With ``relax_diameter`` the polynomial is evaluated on any diameter and
-    the outcome merely records whether it happens to match; outside
-    diameter 2 a mismatch is an observation, not a refuted theorem.
+    A graph outside the claim's hypothesis raises: DisconnectedError if it
+    is disconnected (obs2, lemma3, thm_dd), DiameterNotTwoError for another
+    diameter (lemma3, thm_dd), TooSmallError if it has an isolated vertex
+    (obs1, obs2, the Randić claims) and InvalidParameterError if it is
+    irregular (randic_equality). With ``relax_diameter``, thm_dd evaluates
+    its polynomial on any connected graph and merely records whether it
+    matches; outside diameter 2 a mismatch is an observation, not a
+    refuted theorem.
     """
-    started = time.perf_counter()
-    checked, failure = _check_thm_dd(g, check_diameter=not relax_diameter)
-    out = VerificationOutcome("thm_dd", checked=checked)
-    if failure:
-        out.failures.append(failure)
-    return _timed(out, started)
-
-
-def verify_randic_bounds(g: Graph) -> VerificationOutcome:
-    """Check the sandwich bounds, plus both equalities when g is regular."""
-    started = time.perf_counter()
-    checked, failure = _check_randic(g, equality=False)
-    out = VerificationOutcome("randic_bounds", checked=checked)
-    if failure:
-        out.failures.append(failure)
-    elif randic_bounds(g).is_regular:
-        checked_eq, failure_eq = _check_randic(g, equality=True)
-        out.checked += checked_eq
-        if failure_eq:
-            out.failures.append(failure_eq)
-    return _timed(out, started)
+    (out,) = _run([claim], [g], relax_diameter, strict=True)
+    return out
 
 
 def verify_corpus(
@@ -241,48 +271,4 @@ def verify_corpus(
     are counted as skipped for that claim. Failures are sorted by the
     canonical edge encoding so the report is independent of corpus order.
     """
-    requested = set(claims)
-    unknown = requested - set(CLAIM_IDS)
-    if unknown:
-        raise ValueError(f"unknown claim ids: {sorted(unknown)}")
-    active = [c for c in CLAIM_IDS if c in requested]
-    outcomes = {c: VerificationOutcome(c) for c in active}
-
-    for g in corpus:
-        mycielskian_ok = g.n >= 2 and g.m >= 1
-        layout = mycielskian(g) if mycielskian_ok else None
-        connected = g.is_connected()
-        dm = all_pairs_distances(g) if connected else None
-        diameter_two = dm is not None and dm.max() == 2
-        no_isolated = mycielskian_ok and min(g.degrees) >= 1
-        regular = min(g.degrees) == max(g.degrees)
-
-        for claim in active:
-            out = outcomes[claim]
-            started = time.perf_counter()
-            if claim == "obs1" and mycielskian_ok:
-                checked, failure = _check_obs1(g, layout)
-            elif claim == "obs2" and mycielskian_ok and connected:
-                checked, failure = _check_obs2(g, layout, dm)
-            elif claim == "lemma3" and diameter_two:
-                checked, failure = _check_lemma3(g)
-            elif claim == "thm_dd" and (
-                diameter_two or (relax_diameter and connected)
-            ):
-                checked, failure = _check_thm_dd(g, check_diameter=False)
-            elif claim == "randic_bounds" and no_isolated:
-                checked, failure = _check_randic(g, equality=False)
-            elif claim == "randic_equality" and no_isolated and regular:
-                checked, failure = _check_randic(g, equality=True)
-            else:
-                out.skipped += 1
-                out.elapsed_ms += (time.perf_counter() - started) * 1000.0
-                continue
-            out.checked += checked
-            if failure:
-                out.failures.append(failure)
-            out.elapsed_ms += (time.perf_counter() - started) * 1000.0
-
-    for out in outcomes.values():
-        out.failures.sort(key=lambda f: f.edges)
-    return [outcomes[c] for c in active]
+    return _run(claims, corpus, relax_diameter, strict=False)

@@ -146,7 +146,35 @@ class TestExitStatuses:
         assert run_process("verify", "--claims", "obs9", "--enumerate", "3")[0] == 1
         assert run_process("verify", "--enumerate", "3", "--family", "cycle:5")[0] == 1
         assert run_process("verify", "--gnp", "10,0.3,0", "--trials", "0")[0] == 1
+        assert run_process("verify", "--enumerate", "3", "--trials", "0")[0] == 1
+        assert run_process("verify", "--family", "cycle:5", "--trials", "2")[0] == 1
+        assert run_process("verify", "--claims", "obs1")[0] == 1  # no corpus source
+        assert run_process("enumerate")[0] == 1
         assert run_process("nosuchcommand")[0] == 1
+
+    @pytest.mark.parametrize(
+        "command,foreign",
+        [
+            ("compute", ["--trials", "9"]),
+            ("compute", ["--claims", "obs1"]),
+            ("compute", ["--relax-diameter"]),
+            ("compute", ["--timings"]),
+            ("mycielskian", ["--enumerate", "3"]),
+            ("mycielskian", ["--format", "edgelist"]),
+            ("enumerate", ["--family", "cycle:5"]),
+            ("enumerate", ["--timings"]),
+            ("verify", ["--format", "json"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_foreign_flags_are_usage_errors(self, command, foreign):
+        source = ["--enumerate", "3"]
+        if command in ("compute", "mycielskian"):
+            source = ["--family", "cycle:5"]
+        assert run_cli(command, *source)[0] == 0  # the command is valid without the flag
+        code, out, err = run_process(command, *source, *foreign)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
 
     def test_input_errors(self, tmp_path):
         assert run_process("compute", "--input", str(tmp_path / "missing.txt"))[0] == 2
@@ -161,6 +189,9 @@ class TestExitStatuses:
         single = tmp_path / "k1.txt"
         single.write_text("1 0\n")
         assert run_process("mycielskian", "--input", str(single))[0] == 3
+        isolated = tmp_path / "isolated.txt"  # vertex 2 has no neighbour
+        isolated.write_text("3 1\n0 1\n")
+        assert run_process("mycielskian", "--input", str(isolated))[:2] == (3, "")
         assert run_process("enumerate", "--enumerate", "7")[0] == 3
 
     def test_verification_failure_is_4(self):

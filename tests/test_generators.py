@@ -1,18 +1,23 @@
+import ast
+import re
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from mycielski import generators
+from mycielski.cli import main
 from mycielski.errors import InvalidParameterError, TooLargeError
 from mycielski.generators import (
     CONNECTED_COUNTS,
-    FamilySpec,
+    FAMILIES,
+    build_family,
     complete,
     complete_bipartite,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
-    generate,
     path,
     petersen,
     star,
@@ -33,6 +38,17 @@ GNP_12_04_42 = (
     (8, 9),
     (9, 10), (9, 11),
 )
+
+
+DIRECT_BUILDERS = {
+    "path": path,
+    "cycle": cycle,
+    "complete": complete,
+    "star": star,
+    "kbipartite": complete_bipartite,
+    "petersen": petersen,
+    "gnp": erdos_renyi_connected,
+}
 
 
 def girth(g):
@@ -97,15 +113,38 @@ class TestFamilies:
             call()
 
     def test_generate_dispatch(self):
-        assert generate(FamilySpec("cycle", (5,))) == cycle(5)
-        assert generate(FamilySpec("petersen")) == petersen()
-        assert generate(FamilySpec("complete_bipartite", (2, 3))) == complete_bipartite(2, 3)
+        # the README's list of --family specs is the registry, and each spec
+        # builds what its builder builds
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = readme[readme.index("Input graphs come from"):].split("\n\n")[0]
+        specs = re.findall(r"`([a-z]+(?::[^`]*)?)`", listed)
+        assert sorted(spec.partition(":")[0] for spec in specs) == sorted(FAMILIES)
+        for spec in specs:
+            kind, _, arg = spec.partition(":")
+            params = [ast.literal_eval(p) for p in arg.split(",") if p]
+            assert build_family(spec) == DIRECT_BUILDERS[kind](*params), spec
+        assert build_family("cycle:5,") == cycle(5)
 
-    def test_generate_rejects_bad_specs(self):
-        with pytest.raises(InvalidParameterError):
-            generate(FamilySpec("moebius", (5,)))
-        with pytest.raises(InvalidParameterError):
-            generate(FamilySpec("cycle", (5, 6)))
+    def test_registry_calls_builders_through_the_module(self, monkeypatch):
+        # tracers rebind module attributes, and the registry must honour that
+        monkeypatch.setattr(generators, "cycle", path)
+        assert build_family("cycle:4") == path(4)
+
+    def test_generate_rejects_bad_specs(self, capsys):
+        for spec in [
+            "moebius:5",  # unknown family
+            "cycle",  # too few parameters
+            "cycle:5,6",  # too many
+            "petersen:3",
+            "cycle:two",  # wrong type
+            "gnp:12.0,0.4,42",
+            "gnp:12,high,42",
+            "cycle:2",  # the builder's own minimum
+        ]:
+            with pytest.raises(InvalidParameterError):
+                build_family(spec)
+            assert main(["compute", "--family", spec]) == 1, spec
+            assert capsys.readouterr().out == ""
 
 
 class TestErdosRenyi:

@@ -25,6 +25,8 @@ class TestConstruction:
             mycielskian(Graph(1))
         with pytest.raises(TooSmallError):
             mycielskian(Graph(3))  # edgeless
+        with pytest.raises(TooSmallError, match="vertex 2 is isolated"):
+            mycielskian(Graph(3, [(0, 1)]))  # mu would leave vertex 2 alone
 
     def test_k2_gives_a_five_cycle(self):
         mu = mycielskian(complete(2)).mu

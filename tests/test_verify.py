@@ -1,6 +1,11 @@
 import pytest
 
-from mycielski.errors import DiameterNotTwoError
+from mycielski.errors import (
+    DiameterNotTwoError,
+    DisconnectedError,
+    InvalidParameterError,
+    TooSmallError,
+)
 from mycielski.generators import (
     complete,
     cycle,
@@ -11,52 +16,49 @@ from mycielski.generators import (
     star,
 )
 from mycielski.graph import Graph
-from mycielski.verify import (
-    CLAIM_IDS,
-    verify_corpus,
-    verify_lemma3,
-    verify_observation1,
-    verify_observation2,
-    verify_randic_bounds,
-    verify_theorem_dd,
-)
+from mycielski.verify import CLAIM_IDS, verify_corpus, verify_graph
 
 
 class TestSingleGraphChecks:
     def test_obs1_counts_vertices(self):
-        out = verify_observation1(cycle(4))
+        out = verify_graph("obs1", cycle(4))
         assert out.passed and out.checked == 9
-        assert verify_observation1(petersen()).checked == 21
-        assert verify_observation1(complete(2)).checked == 5
+        assert verify_graph("obs1", petersen()).checked == 21
+        assert verify_graph("obs1", complete(2)).checked == 5
+        # degrees need no distances, so a disconnected graph without an
+        # isolated vertex is checked too
+        assert verify_graph("obs1", Graph(4, [(0, 1), (2, 3)])).checked == 9
 
     @pytest.mark.parametrize("g", [path(5), path(6), complete(3)], ids=["P5", "P6", "K3"])
     def test_obs2(self, g):
-        out = verify_observation2(g)
+        out = verify_graph("obs2", g)
         assert out.passed
         assert out.checked == (2 * g.n + 1) ** 2
 
     @pytest.mark.parametrize("g", [star(4), cycle(4), cycle(5)], ids=["K1_4", "C4", "C5"])
     def test_lemma3(self, g):
-        assert verify_lemma3(g).passed
+        assert verify_graph("lemma3", g).passed
 
     def test_lemma3_needs_diameter_two(self):
         with pytest.raises(DiameterNotTwoError):
-            verify_lemma3(path(4))
+            verify_graph("lemma3", path(4))
+        with pytest.raises(DiameterNotTwoError):
+            verify_graph("lemma3", complete(4))
 
     @pytest.mark.parametrize("g", [cycle(5), cycle(4)], ids=["C5", "C4"])
     def test_theorem_dd(self, g):
-        assert verify_theorem_dd(g).passed
+        assert verify_graph("thm_dd", g).passed
 
     def test_theorem_dd_strict_rejects_k2(self):
         with pytest.raises(DiameterNotTwoError):
-            verify_theorem_dd(complete(2))
+            verify_graph("thm_dd", complete(2))
 
     def test_theorem_dd_relaxed_on_k2_matches(self):
-        out = verify_theorem_dd(complete(2), relax_diameter=True)
+        out = verify_graph("thm_dd", complete(2), relax_diameter=True)
         assert out.passed
 
     def test_theorem_dd_relaxed_records_divergence(self):
-        out = verify_theorem_dd(path(5), relax_diameter=True)
+        out = verify_graph("thm_dd", path(5), relax_diameter=True)
         assert not out.passed
         failure = out.failures[0]
         assert failure.expected == 614  # brute force
@@ -65,11 +67,37 @@ class TestSingleGraphChecks:
 
     @pytest.mark.parametrize("g", [cycle(4), star(4), complete(2)], ids=["C4", "K1_4", "K2"])
     def test_randic_bounds(self, g):
-        assert verify_randic_bounds(g).passed
+        assert verify_graph("randic_bounds", g).passed
 
     def test_randic_checked_counts_regular_equalities(self):
-        assert verify_randic_bounds(cycle(4)).checked == 4
-        assert verify_randic_bounds(star(4)).checked == 2
+        assert verify_graph("randic_bounds", cycle(4)).checked == 2
+        assert verify_graph("randic_equality", cycle(4)).checked == 2
+        assert verify_graph("randic_bounds", star(4)).checked == 2
+        with pytest.raises(InvalidParameterError):
+            verify_graph("randic_equality", star(4))
+
+    @pytest.mark.parametrize(
+        "claim,g,error",
+        [
+            ("obs1", Graph(3, [(0, 1)]), TooSmallError),
+            ("obs1", Graph(1), TooSmallError),
+            ("obs2", Graph(4, [(0, 1), (2, 3)]), DisconnectedError),
+            ("obs2", Graph(3, [(0, 1)]), DisconnectedError),
+            ("lemma3", Graph(4, [(0, 1), (2, 3)]), DisconnectedError),
+            ("thm_dd", Graph(4, [(0, 1), (2, 3)]), DisconnectedError),
+            ("randic_bounds", Graph(3, [(0, 1)]), TooSmallError),
+            ("randic_equality", Graph(3), TooSmallError),
+        ],
+        ids=["obs1-isolated", "obs1-K1", "obs2-2K2", "obs2-isolated", "lemma3-2K2",
+             "thm_dd-2K2", "randic-isolated", "equality-edgeless"],
+    )
+    def test_outside_hypothesis_raises(self, claim, g, error):
+        with pytest.raises(error):
+            verify_graph(claim, g, relax_diameter=claim == "thm_dd")
+
+    def test_unknown_claim_rejected(self):
+        with pytest.raises(ValueError):
+            verify_graph("obs3", cycle(4))
 
 
 class TestCorpus:
@@ -117,7 +145,7 @@ class TestCorpus:
         assert sorted_edges == sorted(sorted_edges)
         for failure in out.failures:
             n = max(v for e in failure.edges for v in e) + 1
-            replay = verify_theorem_dd(Graph(n, failure.edges), relax_diameter=True)
+            replay = verify_graph("thm_dd", Graph(n, failure.edges), relax_diameter=True)
             assert replay.failures[0].expected == failure.expected
             assert replay.failures[0].actual == failure.actual
 
@@ -126,8 +154,8 @@ class TestCorpus:
         outs = verify_corpus(list(CLAIM_IDS), [isolated, cycle(4)])
         by_claim = {o.claim: o for o in outs}
         assert all(o.passed for o in outs)
-        # obs1 needs no distances, so the disconnected graph still counts
-        assert by_claim["obs1"].skipped == 0
+        # an isolated vertex makes mu disconnected, so even obs1 skips it
+        assert by_claim["obs1"].skipped == 1
         assert by_claim["obs2"].skipped == 1
         assert by_claim["lemma3"].skipped == 1
         assert by_claim["randic_bounds"].skipped == 1  # minimum degree 0
