@@ -120,7 +120,15 @@ def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
     trials = 1 if args.trials is None else args.trials
     if trials < 1:
         raise _UsageError("--trials must be at least 1")
-    return (erdos_renyi_connected(n, p, seed + t) for t in range(trials))
+
+    def samples() -> Iterable[Graph]:
+        for t in range(trials):
+            try:
+                yield erdos_renyi_connected(n, p, seed + t)
+            except InvalidParameterError as exc:
+                raise _UsageError(f"bad --gnp value {args.gnp!r}: {exc}") from exc
+
+    return samples()
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:

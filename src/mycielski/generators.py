@@ -10,6 +10,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
+import numpy as np
+
 from .errors import InvalidParameterError, TooLargeError
 from .graph import Graph
 
@@ -78,16 +80,43 @@ def petersen() -> Graph:
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+# Pair draws evaluated per numpy step; bounds the generator's extra memory.
+_CHUNK = 1 << 16
+# Attempts before a gnp spec is rejected; gnp:12,0.1,0 needs 396.
+_MAX_ATTEMPTS = 10_000
 
 
-def _splitmix64(state: int) -> Iterator[int]:
-    """The splitmix64 stream: a full 64-bit generator in three mixes."""
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
+def _kept_pairs(n: int, p: float, state: int) -> list[tuple[int, int]]:
+    """Pairs one attempt keeps: draw k decides the k-th pair in lexicographic order.
+
+    splitmix64 is counter-based, so its k-th output is the mix of
+    ``state + k * gamma`` (mod 2^64), evaluated here a chunk at a time on
+    uint64 arrays. Every operand of the stream is uint64, which wraps mod
+    2^64 the same way under numpy 1.x and NEP 50 promotion.
+    """
+    total = n * (n - 1) // 2
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (u, u + 1)
+    base = np.uint64(state)
+    us: list[int] = []
+    vs: list[int] = []
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        z = base + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        z ^= z >> np.uint64(31)
+        # z >> 11 < 2^53 converts to float64 exactly, as in the scalar stream
+        u01 = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        flat = np.flatnonzero(u01 < p) + lo
+        u = np.searchsorted(starts, flat, side="right") - 1
+        us += u.tolist()
+        vs += (flat - starts[u] + u + 1).tolist()
+    return list(zip(us, vs))
 
 
 def erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
@@ -98,24 +127,29 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
     become a uniform double). Disconnected samples are discarded and the
     whole graph is redrawn from ``seed + 1``, ``seed + 2``, and so on, so
     the result is a pure function of ``(n, p, seed)``.
+
+    splitmix64 is counter-based, so the stream is evaluated as numpy
+    uint64 arithmetic in chunks of ``_CHUNK`` draws: extra memory is
+    O(chunk) rather than O(n^2), and the edges are bit-identical to the
+    scalar one-draw-at-a-time loop. After ``_MAX_ATTEMPTS`` disconnected
+    samples InvalidParameterError is raised (CLI exit 1), so a p far
+    below the connectivity threshold fails fast instead of redrawing
+    forever.
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
     if not 0.0 < p <= 1.0:
         raise InvalidParameterError(f"p must lie in (0, 1], got {p}")
     attempt = seed & _MASK64
-    while True:
-        stream = _splitmix64(attempt)
-        pairs = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (next(stream) >> 11) * 2.0**-53 < p
-        ]
-        g = Graph(n, pairs)
+    for _ in range(_MAX_ATTEMPTS):
+        g = Graph(n, _kept_pairs(n, p, attempt))
         if g.is_connected():
             return g
         attempt = (attempt + 1) & _MASK64
+    raise InvalidParameterError(
+        f"gnp(n={n}, p={p}, seed={seed}) drew no connected graph in "
+        f"{_MAX_ATTEMPTS} attempts"
+    )
 
 
 # Family spec name -> (builder, parameter types). The builder is held by

@@ -4,6 +4,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from mycielski.generators import erdos_renyi_connected
+from mycielski.graph import Graph
+
+_MASK64 = (1 << 64) - 1
 
 
 @st.composite
@@ -30,3 +33,35 @@ def bfs_distances(g):
                     queue.append(w)
         rows.append(dist)
     return np.array(rows, dtype=np.int64)
+
+
+def splitmix64(state):
+    """Reference splitmix64 stream: one Python-int step per draw."""
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
+
+
+def scalar_pairs(n, p, state):
+    """Reference attempt: one scalar draw per pair, in lexicographic order."""
+    stream = splitmix64(state)
+    return [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (next(stream) >> 11) * 2.0**-53 < p
+    ]
+
+
+def scalar_gnp(n, p, seed):
+    """Reference seeded connected G(n, p): redraw from seed + 1, seed + 2, ...
+    while disconnected, without an attempt cap."""
+    attempt = seed & _MASK64
+    while True:
+        g = Graph(n, scalar_pairs(n, p, attempt))
+        if g.is_connected():
+            return g
+        attempt = (attempt + 1) & _MASK64

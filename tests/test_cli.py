@@ -176,6 +176,21 @@ class TestExitStatuses:
         assert (code, out) == (1, "")
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("verify", "--gnp", "1,0.5,0"),
+            ("verify", "--gnp", "5,1.5,0"),
+            ("verify", "--family", "gnp:1,0.5,0"),
+            ("compute", "--family", "gnp:5,1.5,0"),
+        ],
+        ids=["verify-gnp-n", "verify-gnp-p", "verify-family-n", "compute-family-p"],
+    )
+    def test_invalid_gnp_parameters_are_usage_errors(self, args):
+        code, out, err = run_process(*args)
+        assert (code, out) == (1, "")
+        assert "mycielski: error:" in err
+
     def test_input_errors(self, tmp_path):
         assert run_process("compute", "--input", str(tmp_path / "missing.txt"))[0] == 2
         bad = tmp_path / "bad.txt"

@@ -1,10 +1,16 @@
 import ast
 import re
+import subprocess
+import sys
+import time
+import warnings
 from collections import deque
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mycielski import generators
 from mycielski.cli import main
@@ -23,6 +29,8 @@ from mycielski.generators import (
     star,
 )
 from mycielski.graph import diameter
+
+from conftest import scalar_gnp, scalar_pairs
 
 # gnp(12, 0.4, 42), frozen at first build; the generator must reproduce it
 # bit-identically forever
@@ -177,6 +185,83 @@ class TestErdosRenyi:
     def test_too_few_vertices(self):
         with pytest.raises(InvalidParameterError):
             erdos_renyi_connected(1, 0.5, 0)
+
+
+# seeds at and past both ends of the 64-bit state, which is seed mod 2^64
+ODD_SEEDS = [0, 2**64 - 1, 2**64 + 5, -1]
+MASK64 = 2**64 - 1
+
+
+class TestScalarStreamEquivalence:
+    """The chunked numpy stream against the scalar splitmix64 reference.
+
+    Each comparison runs with warnings as errors: numpy array arithmetic
+    wraps silently, but scalar arithmetic warns on overflow, so a stream
+    step done on scalars instead of arrays fails.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        p=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        seed=st.one_of(
+            st.sampled_from(ODD_SEEDS), st.integers(min_value=-(2**70), max_value=2**70)
+        ),
+    )
+    def test_attempt_matches_reference(self, n, p, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = generators._kept_pairs(n, p, seed & MASK64)
+        assert kept == scalar_pairs(n, p, seed & MASK64)
+
+    @pytest.mark.parametrize(
+        "n,p,seed",
+        [(1000, 0.02, 7), (1000, 0.02, 101), (12, 0.1, 0), (12, 0.4, 42)]
+        + [(60, 0.08, seed) for seed in ODD_SEEDS],
+    )
+    def test_graph_matches_reference(self, n, p, seed):
+        # (12, 0.1, 0) takes 396 attempts, so the redraw order is covered
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = erdos_renyi_connected(n, p, seed)
+        assert g.edges == scalar_gnp(n, p, seed).edges
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        monkeypatch.setattr(generators, "_CHUNK", chunk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, p, seed in [(2, 1.0, 0), (12, 0.4, 42), (17, 0.9, 2**64 - 1), (40, 0.3, 5)]:
+                assert generators._kept_pairs(n, p, seed) == scalar_pairs(n, p, seed)
+            assert erdos_renyi_connected(12, 0.4, 42).edges == GNP_12_04_42
+            assert erdos_renyi_connected(30, 0.1, 3) == scalar_gnp(30, 0.1, 3)
+
+
+class TestRedrawCap:
+    # far below the connectivity threshold: these redrew forever before the cap
+    HOPELESS = ["40,0.01,0", "5,1e-300,0"]
+
+    def test_cap_raises_with_the_parameters(self, monkeypatch):
+        monkeypatch.setattr(generators, "_MAX_ATTEMPTS", 3)
+        with pytest.raises(InvalidParameterError) as info:
+            erdos_renyi_connected(12, 0.1, 0)  # needs 396 attempts
+        message = str(info.value)
+        assert all(s in message for s in ("n=12", "p=0.1", "seed=0", "3 attempts"))
+
+    @pytest.mark.parametrize("spec", HOPELESS)
+    @pytest.mark.parametrize("command", ["compute", "verify"])
+    def test_hopeless_specs_exit_1_fast(self, command, spec):
+        source = ["--family", f"gnp:{spec}"] if command == "compute" else ["--gnp", spec]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mycielski", command, *source],
+            capture_output=True,
+            text=True,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "attempts" in proc.stderr
+        assert elapsed < 2.0
 
 
 class TestEnumeration:
