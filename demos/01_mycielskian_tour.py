@@ -16,7 +16,7 @@ from mycielski import (
     cycle,
     diameter,
     format_edge_list,
-    mu_degree,
+    mu_degrees,
     mu_distance_matrix,
     mycielskian,
 )
@@ -34,10 +34,11 @@ print("mu(C5) is the Grotzsch graph: 11 vertices, 20 edges")
 print("=" * 64)
 layout = mycielskian(cycle(5))
 print("vertices:", layout.mu.n, " edges:", layout.mu.m)
-print("root degree:", mu_degree(layout, layout.root), "(always n)")
-print("shadow degrees:", [mu_degree(layout, layout.shadow(i)) for i in range(5)],
+degrees = mu_degrees(layout)
+print("root degree:", degrees[layout.root], "(always n)")
+print("shadow degrees:", [degrees[layout.shadow(i)] for i in range(5)],
       "(always 1 + base degree)")
-print("original degrees:", [mu_degree(layout, i) for i in range(5)],
+print("original degrees:", [degrees[i] for i in range(5)],
       "(always twice the base degree)")
 
 print()
@@ -49,6 +50,6 @@ layout = mycielskian(g)
 closed_form = mu_distance_matrix(layout, all_pairs_distances(g))
 by_bfs = all_pairs_distances(layout.mu)
 print("closed-form matrix for mu(C4):")
-print(closed_form.d)
+print(closed_form)
 print("entrywise equal to BFS on the built graph:",
-      np.array_equal(closed_form.d, by_bfs.d))
+      np.array_equal(closed_form, by_bfs))

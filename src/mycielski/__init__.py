@@ -34,14 +34,12 @@ from .generators import (
     star,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     all_pairs_distances,
     diameter,
     format_edge_list,
     parse_edge_list,
     read_edge_list,
-    write_edge_list,
 )
 from .indices import (
     IndexReport,
@@ -57,8 +55,7 @@ from .indices import (
 )
 from .transform import (
     MycielskianLayout,
-    mu_degree,
-    mu_distance,
+    mu_degrees,
     mu_distance_matrix,
     mycielskian,
 )

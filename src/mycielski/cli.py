@@ -21,6 +21,7 @@ import json
 import sys
 from typing import Iterable, TextIO
 
+from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
 from .generators import FAMILIES, build_family, enumerate_connected, erdos_renyi_connected
 from .graph import Graph, format_edge_list, read_edge_list
@@ -122,9 +123,11 @@ def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
         raise _UsageError("--trials must be at least 1")
 
     def samples() -> Iterable[Graph]:
+        # a sample redraws from at most _MAX_ATTEMPTS consecutive seeds, so
+        # starting trial t that many seeds after trial t-1 keeps the chains apart
         for t in range(trials):
             try:
-                yield erdos_renyi_connected(n, p, seed + t)
+                yield erdos_renyi_connected(n, p, seed + t * generators._MAX_ATTEMPTS)
             except InvalidParameterError as exc:
                 raise _UsageError(f"bad --gnp value {args.gnp!r}: {exc}") from exc
 
@@ -189,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--claims", help="comma-separated claim ids (default: all)")
     verify.add_argument("--trials", type=int,
-                        help="number of --gnp samples, seeds SEED..SEED+k-1 (default 1)")
+                        help="number of --gnp samples; sample t starts at seed "
+                             f"SEED+t*{generators._MAX_ATTEMPTS} (default 1)")
     verify.add_argument("--relax-diameter", action="store_true",
                         help="evaluate the DD closed form outside diameter 2 (exploratory)")
     verify.add_argument("--timings", action="store_true",

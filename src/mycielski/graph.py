@@ -6,17 +6,17 @@ instances are safe to use concurrently.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
 for 128 sources at a time that advances each level by neighbour-list
-gathers or, for large frontiers, one frontier-by-adjacency product; its
-distances are exact integers. The brute-force oracles of ``verify`` (obs2,
-thm_dd) run it on the explicitly built Mycielskian.
+gathers or, for large frontiers, one frontier-by-adjacency product. It
+returns the exact distances as a read-only ``(n, n)`` int64 array. The
+brute-force oracles of ``verify`` (obs2, thm_dd) run it on the explicitly
+built Mycielskian.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -30,13 +30,11 @@ from .errors import (
 
 __all__ = [
     "Graph",
-    "DistanceMatrix",
     "all_pairs_distances",
     "diameter",
     "parse_edge_list",
     "format_edge_list",
     "read_edge_list",
-    "write_edge_list",
 ]
 
 
@@ -74,12 +72,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u] if 0 <= u < self.n else False
 
@@ -108,19 +100,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Exact hop distances of a connected graph as an ``(n, n)`` int64 array."""
-
-    d: np.ndarray
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        return int(self.d[pair])
-
-    def max(self) -> int:
-        return int(self.d.max())
-
-
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
 # A level runs as a dense product when its frontier has more than
@@ -132,8 +111,10 @@ _BLOCK_ROWS = 128
 _DENSE_RATIO = 1024
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
+def all_pairs_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances by a level-synchronous BFS, 128 sources at once.
+
+    Returns a read-only ``(n, n)`` int64 array of exact distances.
 
     Sources are processed in blocks of 128 rows, and the frontier (the
     (source, vertex) pairs first reached at level k-1) advances one level
@@ -200,12 +181,12 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             s = lo + int(np.argmax(rows.min(axis=1) < 0))
             raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
     d.setflags(write=False)
-    return DistanceMatrix(d)
+    return d
 
 
 def diameter(g: Graph) -> int:
     """Largest hop distance over all vertex pairs."""
-    return all_pairs_distances(g).max()
+    return int(all_pairs_distances(g).max())
 
 
 # Edge-list text format: first line "n m", then m lines "u v", LF endings.
@@ -244,17 +225,6 @@ def format_edge_list(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edge_list(source: str | TextIO) -> Graph:
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            return parse_edge_list(fh.read())
-    return parse_edge_list(source.read())
-
-
-def write_edge_list(g: Graph, target: str | TextIO, comment: str | None = None) -> None:
-    text = format_edge_list(g, comment)
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+def read_edge_list(path: str) -> Graph:
+    with open(path, encoding="utf-8") as fh:
+        return parse_edge_list(fh.read())

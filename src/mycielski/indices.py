@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiameterNotTwoError, InvalidParameterError, NoEdgesError
-from .graph import DistanceMatrix, Graph, all_pairs_distances
+from .graph import Graph, all_pairs_distances
 
 __all__ = [
     "IndexReport",
@@ -41,20 +41,20 @@ def _check_order(n: int) -> None:
         )
 
 
-def _wiener(dm: DistanceMatrix) -> int:
-    return int(dm.d.sum(dtype=np.int64)) // 2
+def _wiener(d: np.ndarray) -> int:
+    return int(d.sum(dtype=np.int64)) // 2
 
 
-def _degree_distance(g: Graph, dm: DistanceMatrix) -> int:
+def _degree_distance(g: Graph, d: np.ndarray) -> int:
     """Pair sum of d(u, v) (deg u + deg v), regrouped by the symmetric rows of d."""
     deg = np.asarray(g.degrees, dtype=np.int64)
-    return int(deg @ dm.d.sum(axis=1, dtype=np.int64))
+    return int(deg @ d.sum(axis=1, dtype=np.int64))
 
 
-def _distance2_degree_sum(g: Graph, dm: DistanceMatrix) -> int:
+def _distance2_degree_sum(g: Graph, d: np.ndarray) -> int:
     """Pair sum of deg u + deg v over d(u, v) = 2, regrouped by rows the same way."""
     deg = np.asarray(g.degrees, dtype=np.int64)
-    return int(deg @ (dm.d == 2).sum(axis=1, dtype=np.int64))
+    return int(deg @ (d == 2).sum(axis=1, dtype=np.int64))
 
 
 def wiener(g: Graph) -> int:
@@ -65,7 +65,7 @@ def wiener(g: Graph) -> int:
 
 def first_zagreb(g: Graph) -> int:
     """Sum over edges of endpoint degrees, equal to the degree-square sum."""
-    return sum(g.degree(u) + g.degree(v) for u, v in g.edges)
+    return sum(g.degrees[u] + g.degrees[v] for u, v in g.edges)
 
 
 def randic(g: Graph) -> float:
@@ -74,7 +74,7 @@ def randic(g: Graph) -> float:
         raise NoEdgesError("Randic index needs at least one edge")
     total = 0.0
     for u, v in g.edges:
-        total += 1.0 / math.sqrt(g.degree(u) * g.degree(v))
+        total += 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
     return total
 
 
@@ -105,11 +105,11 @@ def dd_mycielskian_closed(g: Graph, *, check_diameter: bool = True) -> int:
     about the result there.
     """
     _check_order(g.n)
-    dm = all_pairs_distances(g)
-    if check_diameter and dm.max() != 2:
-        raise DiameterNotTwoError(dm.max())
+    d = all_pairs_distances(g)
+    if check_diameter and (diameter := int(d.max())) != 2:
+        raise DiameterNotTwoError(diameter)
     n, m = g.n, g.m
-    return 4 * _degree_distance(g, dm) - first_zagreb(g) + (7 * n - 1) * n + (8 * n + 12) * m
+    return 4 * _degree_distance(g, d) - first_zagreb(g) + (7 * n - 1) * n + (8 * n + 12) * m
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,13 @@ class IndexReport:
 def index_report(g: Graph) -> IndexReport:
     """Compute all indices from one shared distance matrix."""
     _check_order(g.n)
-    dm = all_pairs_distances(g)
+    d = all_pairs_distances(g)
     return IndexReport(
         n=g.n,
         m=g.m,
-        diameter=dm.max(),
-        wiener=_wiener(dm),
+        diameter=int(d.max()),
+        wiener=_wiener(d),
         zagreb_m1=first_zagreb(g),
         randic=randic(g),
-        degree_distance=_degree_distance(g, dm),
+        degree_distance=_degree_distance(g, d),
     )

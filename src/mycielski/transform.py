@@ -4,6 +4,10 @@ The Mycielskian of a graph G on vertices ``0..n-1`` lives on ``2n+1``
 vertices with a fixed index layout: originals keep their labels,
 shadow ``i`` sits at ``n+i``, and the root sits at ``2n``. The role of
 any vertex is therefore decidable by integer comparison alone.
+
+Observations 1 and 2 of the paper each have one whole-graph form here:
+``mu_degrees`` gives every degree of mu(G) from the degrees of G, and
+``mu_distance_matrix`` every distance of mu(G) from the distances of G.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixMismatchError, TooSmallError, VertexOutOfRangeError
-from .graph import DistanceMatrix, Graph
+from .errors import MatrixMismatchError, TooSmallError
+from .graph import Graph
 
-__all__ = ["MycielskianLayout", "mycielskian", "mu_degree", "mu_distance",
-           "mu_distance_matrix"]
+__all__ = ["MycielskianLayout", "mycielskian", "mu_degrees", "mu_distance_matrix"]
 
 
 @dataclass(frozen=True)
@@ -27,21 +30,11 @@ class MycielskianLayout:
     mu: Graph
 
     @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
     def root(self) -> int:
         return 2 * self.base.n
 
     def shadow(self, i: int) -> int:
         return self.base.n + i
-
-    def is_original(self, v: int) -> bool:
-        return 0 <= v < self.base.n
-
-    def is_shadow(self, v: int) -> bool:
-        return self.base.n <= v < 2 * self.base.n
 
 
 def mycielskian(g: Graph) -> MycielskianLayout:
@@ -65,26 +58,22 @@ def mycielskian(g: Graph) -> MycielskianLayout:
     return MycielskianLayout(base=g, mu=Graph(2 * n + 1, pairs))
 
 
-def mu_degree(layout: MycielskianLayout, v: int) -> int:
-    """Degree of ``v`` in the Mycielskian, from base degrees alone.
+def mu_degrees(layout: MycielskianLayout) -> tuple[int, ...]:
+    """Degrees of the Mycielskian in layout order, from base degrees alone.
 
-    Root has degree n, shadow i has ``1 + deg(i)``, original i has
-    ``2 * deg(i)``.
+    Original i has ``2 * deg(i)``, shadow i has ``1 + deg(i)`` and the
+    root has n.
     """
-    n = layout.base.n
-    if not 0 <= v <= 2 * n:
-        raise VertexOutOfRangeError(f"vertex {v} outside 0..{2 * n}")
-    if v == 2 * n:
-        return n
-    if v >= n:
-        return 1 + layout.base.degree(v - n)
-    return 2 * layout.base.degree(v)
+    base = layout.base.degrees
+    return tuple(2 * k for k in base) + tuple(1 + k for k in base) + (layout.base.n,)
 
 
-def mu_distance(layout: MycielskianLayout, dg: DistanceMatrix, u: int, v: int) -> int:
-    """Distance between two Mycielskian vertices, from base distances alone.
+def mu_distance_matrix(layout: MycielskianLayout, dg: np.ndarray) -> np.ndarray:
+    """Full (2n+1)-square distance matrix of the Mycielskian, from base distances.
 
-    Case table (u, v in either order):
+    ``dg`` must be the all-pairs distance matrix of the base graph. Blocks
+    follow the case table (u, v in either order, u != v):
+
       root    - shadow            1
       root    - original          2
       shadow  - shadow            2
@@ -92,46 +81,16 @@ def mu_distance(layout: MycielskianLayout, dg: DistanceMatrix, u: int, v: int) -
       original- shadow, same i    2
       original- shadow, i != j    d(i, j) if d(i, j) <= 2 else 3
 
-    ``dg`` must be the all-pairs distance matrix of the base graph.
+    The result agrees entrywise with BFS on the constructed Mycielskian
+    and is a read-only int64 array.
     """
     n = layout.base.n
-    if dg.d.shape[0] != n:
-        raise MatrixMismatchError(f"distance matrix is {dg.d.shape}, base has n={n}")
-    root = 2 * n
-    if not (0 <= u <= root and 0 <= v <= root):
-        raise VertexOutOfRangeError(f"pair ({u}, {v}) outside 0..{root}")
-    if u == v:
-        return 0
-    if u > v:
-        u, v = v, u
-    if v == root:
-        return 1 if u >= n else 2
-    if u >= n:  # both shadows, distinct
-        return 2
-    if v < n:  # both originals
-        d = dg[u, v]
-        return d if d <= 3 else 4
-    # original u, shadow of j
-    j = v - n
-    if u == j:
-        return 2
-    d = dg[u, j]
-    return d if d <= 2 else 3
-
-
-def mu_distance_matrix(layout: MycielskianLayout, dg: DistanceMatrix) -> DistanceMatrix:
-    """Full (2n+1)-square distance matrix of the Mycielskian.
-
-    Built blockwise from the same case table as :func:`mu_distance`;
-    agrees entrywise with BFS on the constructed Mycielskian.
-    """
-    n = layout.base.n
-    if dg.d.shape[0] != n:
-        raise MatrixMismatchError(f"distance matrix is {dg.d.shape}, base has n={n}")
+    if dg.shape[0] != n:
+        raise MatrixMismatchError(f"distance matrix is {dg.shape}, base has n={n}")
     size = 2 * n + 1
     d = np.zeros((size, size), dtype=np.int64)
-    d[:n, :n] = np.minimum(dg.d, 4)
-    cross = np.where(dg.d <= 2, dg.d, 3)
+    d[:n, :n] = np.minimum(dg, 4)
+    cross = np.where(dg <= 2, dg, 3)
     np.fill_diagonal(cross, 2)
     d[:n, n : 2 * n] = cross
     d[n : 2 * n, :n] = cross  # symmetric: d(v_i, x_j) = d(v_j, x_i)
@@ -142,4 +101,4 @@ def mu_distance_matrix(layout: MycielskianLayout, dg: DistanceMatrix) -> Distanc
     d[2 * n, n : 2 * n] = 1
     d[n : 2 * n, 2 * n] = 1
     d.setflags(write=False)
-    return DistanceMatrix(d)
+    return d

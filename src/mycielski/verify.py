@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     TooSmallError,
 )
-from .graph import DistanceMatrix, Graph, all_pairs_distances
+from .graph import Graph, all_pairs_distances
 from .indices import (
     dd_mycielskian_closed,
     degree_distance,
@@ -39,7 +39,7 @@ from .indices import (
     randic,
     randic_bounds,
 )
-from .transform import MycielskianLayout, mu_degree, mu_distance_matrix, mycielskian
+from .transform import MycielskianLayout, mu_degrees, mu_distance_matrix, mycielskian
 
 __all__ = [
     "CLAIM_IDS",
@@ -111,7 +111,7 @@ class VerificationOutcome:
 
 def _context(
     g: Graph, relax_diameter: bool
-) -> tuple[MycielskianLayout | None, DistanceMatrix | None, dict[str, GraphError | None]]:
+) -> tuple[MycielskianLayout | None, np.ndarray | None, dict[str, GraphError | None]]:
     """What the claims share about one graph, each computed once.
 
     Returns mu(G) (None if G has an isolated vertex), the distances of G
@@ -125,7 +125,7 @@ def _context(
         isolated = TooSmallError("an isolated vertex makes mu(G) disconnected")
     if dm is None:
         disconnected = DisconnectedError("the claim needs a connected graph")
-    elif (diameter := dm.max()) != 2:
+    elif (diameter := int(dm.max())) != 2:
         not_two = DiameterNotTwoError(diameter)
     if min(g.degrees) != max(g.degrees):
         irregular = InvalidParameterError("the claim needs a regular graph")
@@ -146,18 +146,17 @@ def _context(
 
 
 def _check_obs1(g: Graph, layout: MycielskianLayout, dm) -> tuple[int, Failure | None]:
-    by_formula = [mu_degree(layout, v) for v in range(layout.mu.n)]
-    by_adjacency = list(layout.mu.degrees)
+    by_formula, by_adjacency = mu_degrees(layout), layout.mu.degrees
     if by_formula != by_adjacency:
-        return len(by_formula), Failure(g.edges, by_adjacency, by_formula)
+        return len(by_formula), Failure(g.edges, list(by_adjacency), list(by_formula))
     return len(by_formula), None
 
 
 def _check_obs2(
-    g: Graph, layout: MycielskianLayout, dm: DistanceMatrix
+    g: Graph, layout: MycielskianLayout, dm: np.ndarray
 ) -> tuple[int, Failure | None]:
-    closed = mu_distance_matrix(layout, dm).d
-    bfs = all_pairs_distances(layout.mu).d
+    closed = mu_distance_matrix(layout, dm)
+    bfs = all_pairs_distances(layout.mu)
     if not np.array_equal(closed, bfs):
         bad = np.argwhere(closed != bfs)
         return closed.size, Failure(

@@ -169,7 +169,7 @@ def test_criterion_7_family_identities():
             assert abs(randic(g) - g.n / 2) <= 1e-9
             assert degree_distance(g) == 2 * k * wiener(g)
         for g in corpus:
-            edge_form = sum(g.degree(u) + g.degree(v) for u, v in g.edges)
+            edge_form = sum(g.degrees[u] + g.degrees[v] for u, v in g.edges)
             assert first_zagreb(g) == edge_form == sum(d * d for d in g.degrees)
 
 

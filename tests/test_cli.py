@@ -6,7 +6,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from mycielski.cli import main
+from mycielski import generators
+from mycielski.cli import _corpus, build_parser, main
+from mycielski.generators import erdos_renyi_connected
 from mycielski.graph import parse_edge_list
 
 
@@ -102,6 +104,21 @@ class TestVerify:
         assert status == 0
         (record,) = json.loads(out)
         assert record["checked"] == 50
+
+    @pytest.mark.parametrize("spec", ["12,0.1,0", "10,0.3,0"])
+    def test_gnp_trials_draw_distinct_graphs(self, spec):
+        # sample t starts _MAX_ATTEMPTS seeds after sample t-1, past the end
+        # of its redraw chain; with seed + t the trials shared chains and
+        # these corpora held 1 and 15 distinct graphs
+        corpus = list(_corpus(build_parser().parse_args(
+            ["verify", "--gnp", spec, "--trials", "20"]
+        )))
+        assert len(set(corpus)) == 20
+        n, p, seed = spec.split(",")
+        assert corpus[0] == erdos_renyi_connected(int(n), float(p), int(seed))
+        assert corpus[3] == erdos_renyi_connected(
+            int(n), float(p), int(seed) + 3 * generators._MAX_ATTEMPTS
+        )
 
     def test_single_family(self):
         status, out = run_cli("verify", "--family", "petersen")

@@ -86,14 +86,14 @@ class TestDegreeDistance:
     @given(connected_graphs())
     @settings(max_examples=40)
     def test_pair_loop_and_transmission_forms_agree(self, g):
-        d = all_pairs_distances(g).d
+        d = all_pairs_distances(g)
         pair_loop = sum(
-            int(d[u, v]) * (g.degree(u) + g.degree(v))
+            int(d[u, v]) * (g.degrees[u] + g.degrees[v])
             for u in range(g.n)
             for v in range(u + 1, g.n)
         )
         transmission = sum(
-            g.degree(v) * int(d[v].sum()) for v in range(g.n)
+            g.degrees[v] * int(d[v].sum()) for v in range(g.n)
         )
         assert degree_distance(g) == pair_loop == transmission
 
@@ -121,7 +121,7 @@ class TestRowSumForms:
     def test_equal_definitional_pair_loops(self, g):
         d = bfs_distances(g)
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-        weight = {(u, v): g.degree(u) + g.degree(v) for u, v in pairs}
+        weight = {(u, v): g.degrees[u] + g.degrees[v] for u, v in pairs}
         assert degree_distance(g) == sum(int(d[p]) * weight[p] for p in pairs)
         assert distance2_degree_sum(g) == sum(weight[p] for p in pairs if d[p] == 2)
 

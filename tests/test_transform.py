@@ -2,21 +2,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mycielski.errors import (
-    MatrixMismatchError,
-    TooSmallError,
-    VertexOutOfRangeError,
-)
+from mycielski.errors import MatrixMismatchError, TooSmallError
 from mycielski.generators import complete, cycle, path, petersen, star
 from mycielski.graph import Graph, all_pairs_distances, diameter
-from mycielski.transform import (
-    mu_degree,
-    mu_distance,
-    mu_distance_matrix,
-    mycielskian,
-)
+from mycielski.transform import mu_degrees, mu_distance_matrix, mycielskian
 
 from conftest import connected_graphs
+
+
+def case_table(n, dg, u, v):
+    """Observation 2 one vertex pair at a time, as the paper states it."""
+    root = 2 * n
+    if u == v:
+        return 0
+    if u > v:
+        u, v = v, u
+    if v == root:
+        return 1 if u >= n else 2
+    if u >= n:  # both shadows, distinct
+        return 2
+    if v < n:  # both originals
+        return min(int(dg[u, v]), 4)
+    j = v - n  # original u, shadow of j
+    if u == j:
+        return 2
+    return min(int(dg[u, j]), 3)
 
 
 class TestConstruction:
@@ -60,35 +70,28 @@ class TestConstruction:
         assert all(
             not mu.has_edge(n + i, n + j) for i in range(n) for j in range(i + 1, n)
         )
-        assert mu.neighbors(layout.root) == frozenset(range(n, 2 * n))
+        assert mu.adjacency[layout.root] == frozenset(range(n, 2 * n))
         assert layout.base == g
 
 
 class TestDegrees:
     def test_root_degree_is_n(self):
         layout = mycielskian(cycle(4))
-        assert mu_degree(layout, layout.root) == 4
+        assert mu_degrees(layout)[layout.root] == 4
 
     def test_shadow_degree(self):
         layout = mycielskian(cycle(4))
-        assert all(mu_degree(layout, layout.shadow(i)) == 3 for i in range(4))
+        assert all(mu_degrees(layout)[layout.shadow(i)] == 3 for i in range(4))
 
     def test_original_degree_doubles(self):
         layout = mycielskian(star(4))
-        assert mu_degree(layout, 0) == 8
-
-    def test_out_of_range(self):
-        layout = mycielskian(complete(2))
-        with pytest.raises(VertexOutOfRangeError):
-            mu_degree(layout, 5)
+        assert mu_degrees(layout)[0] == 8
 
     @given(connected_graphs())
     @settings(max_examples=50)
     def test_formula_matches_adjacency_count(self, g):
         layout = mycielskian(g)
-        assert [mu_degree(layout, v) for v in range(layout.mu.n)] == list(
-            layout.mu.degrees
-        )
+        assert mu_degrees(layout) == layout.mu.degrees
         assert sum(layout.mu.degrees) == 6 * g.m + 2 * g.n
 
 
@@ -96,49 +99,40 @@ class TestDistances:
     def test_case_table_on_p5(self):
         g = path(5)
         layout = mycielskian(g)
-        dg = all_pairs_distances(g)
-        d = lambda u, v: mu_distance(layout, dg, u, v)
+        d = mu_distance_matrix(layout, all_pairs_distances(g))
         root, shadow = layout.root, layout.shadow
-        assert d(root, root) == 0
-        assert d(root, shadow(2)) == 1
-        assert d(root, 2) == 2
-        assert d(shadow(0), shadow(4)) == 2
-        assert d(0, 1) == 1  # originals at base distance <= 3
-        assert d(0, 3) == 3
-        assert d(0, 4) == 4  # base distance 4 capped
-        assert d(2, shadow(2)) == 2  # original to its own shadow
-        assert d(0, shadow(1)) == 1  # original to near shadow keeps base distance
-        assert d(0, shadow(2)) == 2
-        assert d(0, shadow(3)) == 3  # base distance >= 3 becomes 3
+        assert d[root, root] == 0
+        assert d[root, shadow(2)] == 1
+        assert d[root, 2] == 2
+        assert d[shadow(0), shadow(4)] == 2
+        assert d[0, 1] == 1  # originals at base distance <= 3
+        assert d[0, 3] == 3
+        assert d[0, 4] == 4  # base distance 4 capped
+        assert d[2, shadow(2)] == 2  # original to its own shadow
+        assert d[0, shadow(1)] == 1  # original to near shadow keeps base distance
+        assert d[0, shadow(2)] == 2
+        assert d[0, shadow(3)] == 3  # base distance >= 3 becomes 3
 
     def test_long_path_cap(self):
         g = path(6)
-        dg = all_pairs_distances(g)
-        assert mu_distance(mycielskian(g), dg, 0, 5) == 4
+        assert mu_distance_matrix(mycielskian(g), all_pairs_distances(g))[0, 5] == 4
 
     def test_matrix_mismatch(self):
         with pytest.raises(MatrixMismatchError):
-            mu_distance(mycielskian(path(3)), all_pairs_distances(path(4)), 0, 1)
-        with pytest.raises(MatrixMismatchError):
             mu_distance_matrix(mycielskian(path(3)), all_pairs_distances(path(4)))
-
-    def test_out_of_range(self):
-        g = path(3)
-        with pytest.raises(VertexOutOfRangeError):
-            mu_distance(mycielskian(g), all_pairs_distances(g), 0, 7)
 
     def test_k2_matrix_equals_bfs(self):
         g = complete(2)
         layout = mycielskian(g)
         closed = mu_distance_matrix(layout, all_pairs_distances(g))
-        assert np.array_equal(closed.d, all_pairs_distances(layout.mu).d)
+        assert np.array_equal(closed, all_pairs_distances(layout.mu))
         assert closed.max() == 2
 
     def test_petersen_matrix_equals_bfs(self):
         g = petersen()
         layout = mycielskian(g)
         closed = mu_distance_matrix(layout, all_pairs_distances(g))
-        assert np.array_equal(closed.d, all_pairs_distances(layout.mu).d)
+        assert np.array_equal(closed, all_pairs_distances(layout.mu))
 
     @given(connected_graphs())
     @settings(max_examples=50)
@@ -146,8 +140,9 @@ class TestDistances:
         layout = mycielskian(g)
         dg = all_pairs_distances(g)
         closed = mu_distance_matrix(layout, dg)
-        assert np.array_equal(closed.d, all_pairs_distances(layout.mu).d)
+        assert closed.dtype == np.int64 and not closed.flags.writeable
+        assert np.array_equal(closed, all_pairs_distances(layout.mu))
         size = layout.mu.n
-        scalar = [[mu_distance(layout, dg, u, v) for v in range(size)] for u in range(size)]
-        assert np.array_equal(closed.d, np.array(scalar))
+        scalar = [[case_table(g.n, dg, u, v) for v in range(size)] for u in range(size)]
+        assert np.array_equal(closed, np.array(scalar))
         assert closed.max() <= 4

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from mycielski.cli import main
 from mycielski.errors import (
     DiameterNotTwoError,
     DisconnectedError,
@@ -16,6 +19,8 @@ from mycielski.generators import (
     star,
 )
 from mycielski.graph import Graph
+from mycielski.indices import dd_mycielskian_closed
+from mycielski.transform import mu_degrees, mu_distance_matrix
 from mycielski.verify import CLAIM_IDS, verify_corpus, verify_graph
 
 
@@ -175,3 +180,65 @@ class TestCorpus:
         assert record["failures"][0]["expected"] == 614
         timed = out.as_dict(include_timing=True)
         assert timed["elapsed_ms"] > 0
+
+
+def _off_by_one_root_degree(layout):
+    degrees = list(mu_degrees(layout))
+    degrees[layout.root] += 1
+    return tuple(degrees)
+
+
+def _off_by_one_root_distance(layout, dg):
+    d = mu_distance_matrix(layout, dg).copy()
+    d[0, layout.root] += 1
+    return d
+
+
+class TestFailureReports:
+    """A wrong closed form must surface as a replayable, serialisable failure."""
+
+    def test_obs1_reports_corrupted_degree(self, monkeypatch):
+        monkeypatch.setattr("mycielski.verify.mu_degrees", _off_by_one_root_degree)
+        (out,) = verify_corpus(["obs1"], [path(3), cycle(4)])
+        assert not out.passed
+        assert out.checked == 7 + 9
+        assert [f.edges for f in out.failures] == [cycle(4).edges, path(3).edges]
+        failure = out.failures[1]
+        assert failure.expected == [2, 4, 2, 2, 3, 2, 3]
+        assert failure.actual == [2, 4, 2, 2, 3, 2, 4]
+        record = json.loads(json.dumps(out.as_dict(include_timing=False)))
+        assert record["failures"][1] == {
+            "edges": [[0, 1], [1, 2]],
+            "expected": [2, 4, 2, 2, 3, 2, 3],
+            "actual": [2, 4, 2, 2, 3, 2, 4],
+        }
+        assert all(type(v) is int for v in out.failures[0].actual)
+
+    def test_obs2_reports_corrupted_entry(self, monkeypatch):
+        monkeypatch.setattr("mycielski.verify.mu_distance_matrix", _off_by_one_root_distance)
+        (out,) = verify_corpus(["obs2"], [cycle(4)])
+        assert not out.passed
+        assert out.checked == 81
+        (failure,) = out.failures
+        assert failure.edges == cycle(4).edges
+        assert failure.expected == [[0, 8, 2]]  # BFS on the built mu
+        assert failure.actual == [[0, 8, 3]]
+        assert all(type(x) is int for row in failure.expected + failure.actual for x in row)
+        record = json.loads(json.dumps(out.as_dict(include_timing=False)))
+        assert record["failures"][0]["actual"] == [[0, 8, 3]]
+
+    def test_cli_exits_4_on_corrupted_distances(self, monkeypatch, capsys):
+        monkeypatch.setattr("mycielski.verify.mu_distance_matrix", _off_by_one_root_distance)
+        assert main(["verify", "--claims", "obs2", "--family", "cycle:4"]) == 4
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["failures"][0]["expected"] == [[0, 8, 2]]
+        monkeypatch.undo()
+        assert main(["verify", "--claims", "obs2", "--family", "cycle:4"]) == 0
+
+    def test_diameter_errors_carry_plain_ints(self):
+        with pytest.raises(DiameterNotTwoError) as excinfo:
+            verify_graph("lemma3", path(4))
+        assert type(excinfo.value.diameter) is int and excinfo.value.diameter == 3
+        with pytest.raises(DiameterNotTwoError) as excinfo:
+            dd_mycielskian_closed(path(4))
+        assert type(excinfo.value.diameter) is int and excinfo.value.diameter == 3
