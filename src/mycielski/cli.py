@@ -79,7 +79,9 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
     record["randic"] = _json_float(report.randic)
     if report.diameter == 2:
         bounds = randic_bounds(g)
-        record["degree_distance_mu"] = dd_mycielskian_closed(g)
+        record["degree_distance_mu"] = dd_mycielskian_closed(
+            report.n, report.m, report.zagreb_m1, report.degree_distance
+        )
         record["randic_mu_lower"] = _json_float(bounds.lower)
         record["randic_mu_upper"] = _json_float(bounds.upper)
         record["is_regular"] = bounds.is_regular

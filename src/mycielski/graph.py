@@ -72,9 +72,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u] if 0 <= u < self.n else False
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True
@@ -100,6 +97,10 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# Every distance sum in the package is accumulated in int64 from this
+# APSP. The largest, the degree distance, is bounded by n^4, and
+# 55000^4 < 2^63, so anything at or below this order stays exact.
+_EXACT_ORDER_LIMIT = 55_000
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
 # A level runs as a dense product when its frontier has more than
@@ -132,11 +133,17 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     ``A`` (built only if some level is dense) and, per level, O(128 n) or
     the gathered edges, fewer than 128 n^2 / _DENSE_RATIO.
 
-    Raises DisconnectedError, naming a source that cannot reach every
-    vertex, when a block's frontier empties before its rows are complete;
-    the matrix therefore never contains infinities.
+    Raises InvalidParameterError, before allocating anything, when n
+    exceeds ``_EXACT_ORDER_LIMIT``, the order up to which every int64
+    distance sum stays exact. Raises DisconnectedError, naming a source
+    that cannot reach every vertex, when a block's frontier empties before
+    its rows are complete; the matrix therefore never contains infinities.
     """
     n = g.n
+    if n > _EXACT_ORDER_LIMIT:
+        raise InvalidParameterError(
+            f"n={n} exceeds the exact int64 limit of {_EXACT_ORDER_LIMIT}"
+        )
     deg = np.asarray(g.degrees, dtype=np.int64)
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
     tail = np.concatenate((ends[0::2], ends[1::2]))

@@ -1,18 +1,26 @@
 """Degree- and distance-based topological indices.
 
-Distance-based indices are exact integers; Randić-type quantities are
-doubles accumulated left to right over the canonically sorted edge
-list, so repeated runs produce bit-identical values.
+Distance-based indices are exact integers, summed in int64 over the
+distances of ``all_pairs_distances``, which refuses any order too large
+for those sums to stay exact. Randić-type quantities are doubles
+accumulated left to right over the canonically sorted edge list, so
+repeated runs produce bit-identical values.
+
+``dd_mycielskian_closed`` is the paper's degree-distance theorem as a
+bare polynomial of four indices of G. It runs no BFS and checks no
+hypothesis: the callers that already know the diameter decide whether it
+applies (the claim table of ``verify`` and the diameter-2 branch of
+``mycielski compute``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DiameterNotTwoError, InvalidParameterError, NoEdgesError
+from .errors import InvalidParameterError, NoEdgesError
 from .graph import Graph, all_pairs_distances
 
 __all__ = [
@@ -28,18 +36,6 @@ __all__ = [
     "index_report",
 ]
 
-# Integer sums are accumulated in int64. The largest index handled here is
-# the degree distance, bounded by n^4, and 55000^4 < 2^63, so anything at
-# or below this order stays exact.
-_EXACT_ORDER_LIMIT = 55_000
-
-
-def _check_order(n: int) -> None:
-    if n > _EXACT_ORDER_LIMIT:
-        raise InvalidParameterError(
-            f"n={n} exceeds the exact int64 limit of {_EXACT_ORDER_LIMIT}"
-        )
-
 
 def _wiener(d: np.ndarray) -> int:
     return int(d.sum(dtype=np.int64)) // 2
@@ -51,15 +47,8 @@ def _degree_distance(g: Graph, d: np.ndarray) -> int:
     return int(deg @ d.sum(axis=1, dtype=np.int64))
 
 
-def _distance2_degree_sum(g: Graph, d: np.ndarray) -> int:
-    """Pair sum of deg u + deg v over d(u, v) = 2, regrouped by rows the same way."""
-    deg = np.asarray(g.degrees, dtype=np.int64)
-    return int(deg @ (d == 2).sum(axis=1, dtype=np.int64))
-
-
 def wiener(g: Graph) -> int:
     """Sum of hop distances over all unordered vertex pairs."""
-    _check_order(g.n)
     return _wiener(all_pairs_distances(g))
 
 
@@ -80,7 +69,6 @@ def randic(g: Graph) -> float:
 
 def degree_distance(g: Graph) -> int:
     """Sum over unordered pairs of ``d(u, v) * (deg(u) + deg(v))``."""
-    _check_order(g.n)
     return _degree_distance(g, all_pairs_distances(g))
 
 
@@ -88,28 +76,23 @@ def distance2_degree_sum(g: Graph) -> int:
     """Sum of endpoint degrees over unordered pairs at distance exactly 2.
 
     On diameter-2 graphs this equals ``2(n-1)m - M1``: a vertex of degree d
-    has exactly ``n - 1 - d`` vertices at distance two.
+    has exactly ``n - 1 - d`` vertices at distance two. The pair sum is
+    regrouped by the symmetric rows of the distance matrix.
     """
-    _check_order(g.n)
-    return _distance2_degree_sum(g, all_pairs_distances(g))
+    deg = np.asarray(g.degrees, dtype=np.int64)
+    return int(deg @ (all_pairs_distances(g) == 2).sum(axis=1, dtype=np.int64))
 
 
-def dd_mycielskian_closed(g: Graph, *, check_diameter: bool = True) -> int:
-    """Degree distance of the Mycielskian via the closed form
-    ``4*DD(G) - M1(G) + (7n-1)n + (8n+12)m``.
+def dd_mycielskian_closed(n: int, m: int, m1: int, dd: int) -> int:
+    """The polynomial ``4*dd - m1 + (7n-1)n + (8n+12)m``.
 
-    The identity is proved for diameter-2 graphs only, and by default any
-    other diameter raises DiameterNotTwoError carrying the actual value.
-    ``check_diameter=False`` evaluates the same polynomial regardless, for
-    exploratory comparison outside the proven range; nothing is guaranteed
-    about the result there.
+    Given the order n, size m, first Zagreb index M1(G) and degree
+    distance DD(G) of a graph G of diameter 2, it equals the degree
+    distance of the Mycielskian, DD(mu(G)). The identity is proved for
+    diameter 2 only; the function evaluates the polynomial for any
+    integers and checks nothing, so the caller must know the diameter.
     """
-    _check_order(g.n)
-    d = all_pairs_distances(g)
-    if check_diameter and (diameter := int(d.max())) != 2:
-        raise DiameterNotTwoError(diameter)
-    n, m = g.n, g.m
-    return 4 * _degree_distance(g, d) - first_zagreb(g) + (7 * n - 1) * n + (8 * n + 12) * m
+    return 4 * dd - m1 + (7 * n - 1) * n + (8 * n + 12) * m
 
 
 @dataclass(frozen=True)
@@ -159,20 +142,11 @@ class IndexReport:
     degree_distance: int
 
     def as_dict(self) -> dict[str, int | float]:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "diameter": self.diameter,
-            "wiener": self.wiener,
-            "zagreb_m1": self.zagreb_m1,
-            "randic": self.randic,
-            "degree_distance": self.degree_distance,
-        }
+        return asdict(self)
 
 
 def index_report(g: Graph) -> IndexReport:
     """Compute all indices from one shared distance matrix."""
-    _check_order(g.n)
     d = all_pairs_distances(g)
     return IndexReport(
         n=g.n,

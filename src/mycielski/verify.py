@@ -176,8 +176,7 @@ def _check_lemma3(g: Graph, layout, dm) -> tuple[int, Failure | None]:
 
 
 def _check_thm_dd(g: Graph, layout, dm) -> tuple[int, Failure | None]:
-    # the hypothesis is settled before the check, so the closed form skips its own
-    closed = dd_mycielskian_closed(g, check_diameter=False)
+    closed = dd_mycielskian_closed(g.n, g.m, first_zagreb(g), degree_distance(g))
     brute = degree_distance(mycielskian(g).mu)
     if closed != brute:
         return 1, Failure(g.edges, brute, closed)

@@ -110,7 +110,8 @@ def test_criterion_4_named_case_regressions():
             (petersen(), 3780),
         ]:
             assert degree_distance(mycielskian(g).mu) == expected  # brute force
-            assert dd_mycielskian_closed(g) == expected
+            dd = degree_distance(g)
+            assert dd_mycielskian_closed(g.n, g.m, first_zagreb(g), dd) == expected
 
 
 def test_criterion_5_randic_bounds_corpus():

@@ -9,7 +9,7 @@ import pytest
 from mycielski import generators
 from mycielski.cli import _corpus, build_parser, main
 from mycielski.generators import erdos_renyi_connected
-from mycielski.graph import parse_edge_list
+from mycielski.graph import all_pairs_distances, parse_edge_list
 
 
 def run_cli(*args):
@@ -66,6 +66,20 @@ class TestCompute:
         )
         assert status == 0
         assert json.loads(target.read_text())["wiener"] == 15
+
+    def test_diameter_two_runs_one_apsp(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return all_pairs_distances(g)
+
+        monkeypatch.setattr("mycielski.indices.all_pairs_distances", counted)
+        status, out = run_cli("compute", "--family", "gnp:30,0.5,3")
+        assert status == 0
+        record = json.loads(out)
+        assert record["diameter"] == 2 and "degree_distance_mu" in record
+        assert calls == [30]
 
 
 class TestMycielskian:
@@ -225,6 +239,13 @@ class TestExitStatuses:
         isolated.write_text("3 1\n0 1\n")
         assert run_process("mycielskian", "--input", str(isolated))[:2] == (3, "")
         assert run_process("enumerate", "--enumerate", "7")[0] == 3
+
+    def test_order_past_the_exact_limit_is_3(self, monkeypatch, capsys):
+        monkeypatch.setattr("mycielski.graph._EXACT_ORDER_LIMIT", 10)
+        assert main(["compute", "--family", "path:11"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exact int64 limit" in captured.err
 
     def test_verification_failure_is_4(self):
         code, _, _ = run_process(

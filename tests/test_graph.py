@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mycielski.generators import (
     star,
 )
 from mycielski.graph import (
+    _EXACT_ORDER_LIMIT,
     Graph,
     all_pairs_distances,
     diameter,
@@ -113,6 +115,12 @@ class TestDistances:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_order_limit_is_checked_before_anything_is_read(self):
+        # a stand-in with no degrees or edges: any allocation would read them first
+        too_large = SimpleNamespace(n=_EXACT_ORDER_LIMIT + 1)
+        with pytest.raises(InvalidParameterError, match="exact int64 limit"):
+            all_pairs_distances(too_large)
 
     def test_matches_floyd_warshall(self):
         for seed in range(20):

@@ -22,6 +22,7 @@ from mycielski.indices import (
     wiener,
 )
 from mycielski.transform import mycielskian
+from mycielski.verify import verify_graph
 
 from conftest import bfs_distances, connected_graphs
 
@@ -126,6 +127,10 @@ class TestRowSumForms:
         assert distance2_degree_sum(g) == sum(weight[p] for p in pairs if d[p] == 2)
 
 
+def closed_form(g):
+    return dd_mycielskian_closed(g.n, g.m, first_zagreb(g), degree_distance(g))
+
+
 class TestClosedFormDegreeDistance:
     # values reproduced by brute force (BFS on the constructed Mycielskian)
     # before being pinned here
@@ -135,31 +140,32 @@ class TestClosedFormDegreeDistance:
         ids=["C4", "C5", "K1_4", "Petersen"],
     )
     def test_pinned_regressions(self, g, expected):
-        assert dd_mycielskian_closed(g) == expected
+        assert closed_form(g) == expected
         assert degree_distance(mycielskian(g).mu) == expected
 
     def test_wrong_diameter_rejected_with_payload(self):
+        # the diameter-2 hypothesis lives in verify's claim table
         with pytest.raises(DiameterNotTwoError) as info:
-            dd_mycielskian_closed(path(4))
+            verify_graph("thm_dd", path(4))
         assert info.value.diameter == 3
         with pytest.raises(DiameterNotTwoError) as info:
-            dd_mycielskian_closed(complete(4))
+            verify_graph("thm_dd", complete(4))
         assert info.value.diameter == 1
 
     def test_unchecked_mode_on_k2(self):
         # diameter 1, yet the polynomial happens to match mu(K2) = C5
-        value = dd_mycielskian_closed(complete(2), check_diameter=False)
+        value = closed_form(complete(2))
         assert value == 60 == degree_distance(mycielskian(complete(2)).mu)
 
     def test_unchecked_mode_can_diverge(self):
         # diameter 4: polynomial gives 604, brute force 614
         g = path(5)
-        assert dd_mycielskian_closed(g, check_diameter=False) == 604
+        assert closed_form(g) == 604
         assert degree_distance(mycielskian(g).mu) == 614
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
-            dd_mycielskian_closed(Graph(3, [(0, 1)]))
+            verify_graph("thm_dd", Graph(3, [(0, 1)]))
 
 
 class TestRandicBounds:
@@ -204,6 +210,20 @@ class TestRandicBounds:
             assert b.lower == b.upper  # identical arithmetic on both sides
         else:
             assert b.lower < b.upper
+
+
+class TestExactOrderGuard:
+    # a small stand-in limit; a real order past 55,000 would allocate gigabytes
+    @pytest.mark.parametrize(
+        "fn",
+        [all_pairs_distances, wiener, degree_distance, distance2_degree_sum, index_report],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_orders_past_the_limit_are_refused(self, fn, monkeypatch):
+        monkeypatch.setattr("mycielski.graph._EXACT_ORDER_LIMIT", 10)
+        fn(path(10))
+        with pytest.raises(InvalidParameterError, match="exact int64 limit of 10"):
+            fn(path(11))
 
 
 class TestIndexReport:

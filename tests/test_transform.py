@@ -68,7 +68,7 @@ class TestConstruction:
         assert mu.m == 3 * g.m + n
         # shadows form an independent set
         assert all(
-            not mu.has_edge(n + i, n + j) for i in range(n) for j in range(i + 1, n)
+            n + j not in mu.adjacency[n + i] for i in range(n) for j in range(i + 1, n)
         )
         assert mu.adjacency[layout.root] == frozenset(range(n, 2 * n))
         assert layout.base == g

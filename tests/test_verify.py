@@ -19,7 +19,6 @@ from mycielski.generators import (
     star,
 )
 from mycielski.graph import Graph
-from mycielski.indices import dd_mycielskian_closed
 from mycielski.transform import mu_degrees, mu_distance_matrix
 from mycielski.verify import CLAIM_IDS, verify_corpus, verify_graph
 
@@ -240,5 +239,5 @@ class TestFailureReports:
             verify_graph("lemma3", path(4))
         assert type(excinfo.value.diameter) is int and excinfo.value.diameter == 3
         with pytest.raises(DiameterNotTwoError) as excinfo:
-            dd_mycielskian_closed(path(4))
+            verify_graph("thm_dd", path(4))
         assert type(excinfo.value.diameter) is int and excinfo.value.diameter == 3
