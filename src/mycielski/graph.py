@@ -5,11 +5,13 @@ construction and all operations here are pure functions, so shared
 instances are safe to use concurrently.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
-for 128 sources at a time that advances each level by neighbour-list
-gathers or, for large frontiers, one frontier-by-adjacency product. It
-returns the exact distances as a read-only ``(n, n)`` int64 array. The
-brute-force oracles of ``verify`` (obs2, thm_dd) run it on the explicitly
-built Mycielskian.
+from every source at once. Up to ``_WORD_MAX_N`` vertices each source's
+reached set is one Python int bitset and a level is one OR per edge end;
+larger graphs run 128 sources at a time and advance each level by
+neighbour-list gathers or, for large frontiers, one frontier-by-adjacency
+product. Both return the exact distances as a read-only ``(n, n)`` int64
+array. The brute-force oracles of ``verify`` (obs2, thm_dd) run it on the
+explicitly built Mycielskian.
 """
 
 from __future__ import annotations
@@ -60,13 +62,11 @@ class Graph:
             neighbors[u].add(v)
             neighbors[v].add(u)
         self.n = n
-        self.adjacency: tuple[frozenset[int], ...] = tuple(
-            frozenset(s) for s in neighbors
-        )
+        self.adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, neighbors))
         self.edges: tuple[tuple[int, int], ...] = tuple(
-            (u, v) for u in range(n) for v in sorted(neighbors[u]) if u < v
+            [(u, v) for u, s in enumerate(neighbors) for v in sorted(s) if u < v]
         )
-        self.degrees: tuple[int, ...] = tuple(len(s) for s in neighbors)
+        self.degrees: tuple[int, ...] = tuple(map(len, neighbors))
 
     @property
     def m(self) -> int:
@@ -103,6 +103,15 @@ class Graph:
 _EXACT_ORDER_LIMIT = 55_000
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
+# Graphs up to this order run the word form (one int bitset per source;
+# at most 64, since each row is read back as one uint64).
+# Single-threaded on a 2-core x86 host it beats the blocked kernel on every
+# shape measured at n = 24 (path, cycle, star, complete, gnp at p = 0.2 and
+# 0.5, a K12 lollipop on a 12-path), by 1.1-2.2x, and at n = 13 (mu of an
+# order-6 graph) by 1.4-3.9x. At n = 32 gnp(0.5) and the lollipop are even,
+# and at n = 64 they run 1.6x and 2.7x slower as words: a word level costs
+# Python steps per edge, the kernel a fixed numpy cost per level.
+_WORD_MAX_N = 24
 # A level runs as a dense product when its frontier has more than
 # (block rows) * n^2 / _DENSE_RATIO edges to gather. Single-threaded on a
 # 2-core x86 host, numpy gathers one edge (35-45 ns) in the time OpenBLAS
@@ -113,11 +122,22 @@ _DENSE_RATIO = 1024
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """All-pairs hop distances by a level-synchronous BFS, 128 sources at once.
+    """All-pairs hop distances by a level-synchronous BFS from every source.
 
     Returns a read-only ``(n, n)`` int64 array of exact distances.
 
-    Sources are processed in blocks of 128 rows, and the frontier (the
+    Up to ``_WORD_MAX_N`` vertices, each source s keeps the set R_k[s] of
+    vertices within k hops as one int bitset, and every row advances at
+    once: ``R_{k+1}[s] = R_k[s] | OR over v in N(s) of R_k[v]``. This is
+    exact on an undirected graph, since a vertex within k + 1 hops of s is
+    s itself or within k hops of a neighbour of s. Once every row is full,
+    ``d[s, v]`` is the number of levels whose row lacks v, read for all
+    levels in one ``unpackbits``. On graphs this small a level costs a few
+    Python int operations per edge, well below the fixed numpy cost of
+    one level of the blocked kernel; ``_WORD_MAX_N`` records where the
+    two meet.
+
+    Larger graphs run in blocks of 128 source rows, and the frontier (the
     (source, vertex) pairs first reached at level k-1) advances one level
     at a time in one of two forms, whichever is cheaper for its size:
 
@@ -135,15 +155,18 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
     Raises InvalidParameterError, before allocating anything, when n
     exceeds ``_EXACT_ORDER_LIMIT``, the order up to which every int64
-    distance sum stays exact. Raises DisconnectedError, naming a source
-    that cannot reach every vertex, when a block's frontier empties before
-    its rows are complete; the matrix therefore never contains infinities.
+    distance sum stays exact. Raises DisconnectedError, naming the first
+    source that cannot reach every vertex, when its row stops growing (word
+    form) or its block's frontier empties (blocked form) before the row is
+    complete; the matrix therefore never contains infinities.
     """
     n = g.n
     if n > _EXACT_ORDER_LIMIT:
         raise InvalidParameterError(
             f"n={n} exceeds the exact int64 limit of {_EXACT_ORDER_LIMIT}"
         )
+    if n <= _WORD_MAX_N:
+        return _word_distances(g)
     deg = np.asarray(g.degrees, dtype=np.int64)
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
     tail = np.concatenate((ends[0::2], ends[1::2]))
@@ -187,6 +210,34 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         if reached < b * n:
             s = lo + int(np.argmax(rows.min(axis=1) < 0))
             raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
+    d.setflags(write=False)
+    return d
+
+
+def _word_distances(g: Graph) -> np.ndarray:
+    """The word form of ``all_pairs_distances``, for n <= ``_WORD_MAX_N``."""
+    n = g.n
+    full = (1 << n) - 1
+    rows = [1 << s for s in range(n)]  # R_0[s] = {s}
+    levels = [rows]
+    while min(rows) != full:
+        grown = []
+        for r, nbrs in zip(rows, g.adjacency):
+            if r != full:
+                for v in nbrs:
+                    r |= rows[v]
+            grown.append(r)
+        if grown == rows:
+            s = next(s for s, r in enumerate(rows) if r != full)
+            raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
+        rows = grown
+        levels.append(rows)
+    missing = np.fromiter(chain.from_iterable(levels), dtype="<u8", count=len(levels) * n)
+    missing ^= np.uint64(full)
+    bits = np.unpackbits(
+        missing.view(np.uint8).reshape(len(levels), n, 8), axis=-1, count=n, bitorder="little"
+    )
+    d = bits.sum(axis=0, dtype=np.int64)
     d.setflags(write=False)
     return d
 

@@ -88,17 +88,14 @@ def mu_distance_matrix(layout: MycielskianLayout, dg: np.ndarray) -> np.ndarray:
     if dg.shape[0] != n:
         raise MatrixMismatchError(f"distance matrix is {dg.shape}, base has n={n}")
     size = 2 * n + 1
-    d = np.zeros((size, size), dtype=np.int64)
+    d = np.full((size, size), 2, dtype=np.int64)  # root-original, shadow-shadow
     d[:n, :n] = np.minimum(dg, 4)
-    cross = np.where(dg <= 2, dg, 3)
+    cross = np.minimum(dg, 3)
     np.fill_diagonal(cross, 2)
     d[:n, n : 2 * n] = cross
     d[n : 2 * n, :n] = cross  # symmetric: d(v_i, x_j) = d(v_j, x_i)
-    d[n : 2 * n, n : 2 * n] = 2
-    np.fill_diagonal(d[n : 2 * n, n : 2 * n], 0)
-    d[2 * n, :n] = 2
-    d[:n, 2 * n] = 2
     d[2 * n, n : 2 * n] = 1
     d[n : 2 * n, 2 * n] = 1
+    np.fill_diagonal(d, 0)
     d.setflags(write=False)
     return d

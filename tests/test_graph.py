@@ -23,7 +23,9 @@ from mycielski.generators import (
 )
 from mycielski.graph import (
     _EXACT_ORDER_LIMIT,
+    _WORD_MAX_N,
     Graph,
+    _word_distances,
     all_pairs_distances,
     diameter,
     format_edge_list,
@@ -48,6 +50,32 @@ def giant_component(n, p, seed):
     largest = np.flatnonzero(d[np.argmax((d >= 0).sum(axis=1))] >= 0)
     label = {int(v): i for i, v in enumerate(largest)}
     return Graph(len(largest), [(label[u], label[v]) for u, v in g.edges if u in label])
+
+
+def lollipop(clique, tail):
+    """K_clique with a path of ``tail`` more vertices hanging off its last vertex."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
+    return Graph(clique + tail, edges)
+
+
+SHAPES = {
+    "path": path,
+    "cycle": cycle,
+    "star": lambda n: star(n - 1),
+    "complete": complete,
+    "gnp": lambda n: erdos_renyi_connected(n, 0.3, n),
+    "lollipop": lambda n: lollipop((n + 1) // 2, n // 2),
+}
+
+
+def word_bound_cases():
+    """Every shape at n = 2, _WORD_MAX_N and _WORD_MAX_N + 1, and K1."""
+    yield pytest.param(lambda: Graph(1), id="K1")
+    for n in (2, _WORD_MAX_N, _WORD_MAX_N + 1):
+        for name, build in SHAPES.items():
+            if n >= 3 or name != "cycle":
+                yield pytest.param(lambda build=build, n=n: build(n), id=f"{name}{n}")
 
 
 def floyd_warshall(g):
@@ -161,10 +189,48 @@ class TestDistances:
         with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
             all_pairs_distances(g)
 
+    @pytest.mark.parametrize("build", word_bound_cases())
+    def test_matches_references_around_the_word_bound(self, build):
+        g = build()
+        d = all_pairs_distances(g)
+        assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
+        assert np.array_equal(d, bfs_distances(g))
+        assert np.array_equal(d, floyd_warshall(g))
+
+    def test_word_form_runs_up_to_the_bound(self, monkeypatch):
+        orders = []
+        monkeypatch.setattr(
+            "mycielski.graph._word_distances", lambda g: orders.append(g.n) or _word_distances(g)
+        )
+        for g in (Graph(1), path(2), path(_WORD_MAX_N), path(_WORD_MAX_N + 1)):
+            all_pairs_distances(g)
+        assert orders == [1, 2, _WORD_MAX_N]
+
+    def test_disconnected_rejected_below_the_word_bound(self):
+        g = Graph(_WORD_MAX_N, [(v, v + 1) for v in range(_WORD_MAX_N - 1) if v != 5])
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(g)
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(Graph(3, [(1, 2)]))
+
+    def test_word_form_is_exact_up_to_64_vertices(self, monkeypatch):
+        # each row is read as one uint64, so 64 is the widest the form allows;
+        # forcing it that far also sets the top bit of the word
+        monkeypatch.setattr("mycielski.graph._WORD_MAX_N", 64)
+        graphs = [mycielskian(g).mu for g in enumerate_connected(4)]
+        graphs += [build(n) for n in (31, 32, 33, 63, 64) for build in SHAPES.values()]
+        graphs += [lollipop(32, 32), giant_component(64, 0.05, 3)]
+        for g in graphs:
+            assert np.array_equal(all_pairs_distances(g), bfs_distances(g))
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(Graph(64, [(v, v + 1) for v in range(63) if v != 40]))
+
     @pytest.mark.parametrize("ratio", [0, 2**40], ids=["all_sparse", "all_dense"])
     def test_each_level_form_is_exact_alone(self, ratio, monkeypatch):
         # the kernel picks a form per level; forcing one form everywhere
-        # checks each against the reference on its own
+        # checks each against the reference on its own, and a word bound of
+        # 0 sends the small graphs through the kernel too
+        monkeypatch.setattr("mycielski.graph._WORD_MAX_N", 0)
         monkeypatch.setattr("mycielski.graph._DENSE_RATIO", ratio)
         graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
         graphs += [mycielskian(g).mu for g in graphs]
