@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
@@ -108,12 +108,19 @@ def _cmd_mycielskian(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+def _enumerated(n: int) -> Iterator[Graph]:
+    try:
+        return enumerate_connected(n)
+    except InvalidParameterError as exc:
+        raise _UsageError(f"bad --enumerate value {n}: {exc}") from exc
+
+
 def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
     if args.gnp is None:
         if args.trials is not None:
             raise _UsageError("--trials needs --gnp")
         if args.enumerate is not None:
-            return enumerate_connected(args.enumerate)
+            return _enumerated(args.enumerate)
         return [_load_graph(args)]
     try:
         n_s, p_s, seed_s = args.gnp.split(",")
@@ -155,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
     first = True
-    for g in enumerate_connected(args.enumerate):
+    for g in _enumerated(args.enumerate):
         if not first:
             out.write("\n")
         out.write(format_edge_list(g))

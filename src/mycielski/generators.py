@@ -197,12 +197,17 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
     Edge subsets are visited in increasing bitmask order, where bit k
     toggles the k-th pair in lexicographic order; only connected subsets
-    are yielded. Counts per order: 1, 4, 38, 728, 26704.
+    are yielded. Counts per order: 1, 4, 38, 728, 26704. The order is
+    checked at the call, before anything is yielded.
     """
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"enumeration capped at n = {ENUMERATION_CAP}, got {n}")
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
+    return _connected_graphs(n)
+
+
+def _connected_graphs(n: int) -> Iterator[Graph]:
     all_pairs = list(combinations(range(n), 2))
     full = (1 << n) - 1
     for mask in range(1 << len(all_pairs)):

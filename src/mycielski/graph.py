@@ -5,13 +5,16 @@ construction and all operations here are pure functions, so shared
 instances are safe to use concurrently.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
-from every source at once. Up to ``_WORD_MAX_N`` vertices each source's
-reached set is one Python int bitset and a level is one OR per edge end;
-larger graphs run 128 sources at a time and advance each level by
-neighbour-list gathers or, for large frontiers, one frontier-by-adjacency
-product. Both return the exact distances as a read-only ``(n, n)`` int64
-array. The brute-force oracles of ``verify`` (obs2, thm_dd) run it on the
-explicitly built Mycielskian.
+from every source at once, in up to three forms. Up to ``_WORD_MAX_N``
+vertices each source's reached set is one Python int bitset and a level is
+one OR per edge end. Larger graphs keep the same bitsets as a uint64 array
+and advance every source by one numpy gather and OR-reduce per level, for
+as many levels as cost no more than one sparse BFS from every source; any
+rows still incomplete then go on in the blocked kernel, 128 sources at a
+time, by neighbour-list gathers or, for large frontiers, one
+frontier-by-adjacency product. Every form returns the exact distances as a
+read-only ``(n, n)`` int64 array. The brute-force oracles of ``verify``
+(obs2, thm_dd) run it on the explicitly built Mycielskian.
 """
 
 from __future__ import annotations
@@ -103,15 +106,20 @@ class Graph:
 _EXACT_ORDER_LIMIT = 55_000
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
-# Graphs up to this order run the word form (one int bitset per source;
-# at most 64, since each row is read back as one uint64).
-# Single-threaded on a 2-core x86 host it beats the blocked kernel on every
-# shape measured at n = 24 (path, cycle, star, complete, gnp at p = 0.2 and
-# 0.5, a K12 lollipop on a 12-path), by 1.1-2.2x, and at n = 13 (mu of an
-# order-6 graph) by 1.4-3.9x. At n = 32 gnp(0.5) and the lollipop are even,
-# and at n = 64 they run 1.6x and 2.7x slower as words: a word level costs
-# Python steps per edge, the kernel a fixed numpy cost per level.
+# Graphs up to this order run the Python-int word form (one int bitset per
+# source; at most 64, since each row is read back as one uint64), larger
+# ones the numpy word levels. A Python-int level costs Python steps per
+# edge, a numpy level a fixed cost of a dozen numpy calls. Single-threaded
+# on a 2-core x86 host the Python ints are 1.6-3.1x faster on every shape
+# measured at n = 24 (path, cycle, star, complete, gnp at p = 0.2 and 0.5,
+# a K12 lollipop on a 12-path) and 2.3x at n = 13 (mu of an order-6 graph);
+# at n = 48 gnp(0.5) is even and the lollipop 1.6x faster in numpy, and at
+# n = 64 both gnp densities and the lollipop are faster in numpy.
 _WORD_MAX_N = 24
+# A numpy word level gathers the rows of about this many times n neighbours
+# at a time (at most n more), so the gathered words stay near n^2 bytes, an
+# eighth of the int64 result, on a graph of any density.
+_GATHER_EDGES = 8
 # A level runs as a dense product when its frontier has more than
 # (block rows) * n^2 / _DENSE_RATIO edges to gather. Single-threaded on a
 # 2-core x86 host, numpy gathers one edge (35-45 ns) in the time OpenBLAS
@@ -126,38 +134,56 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
     Returns a read-only ``(n, n)`` int64 array of exact distances.
 
-    Up to ``_WORD_MAX_N`` vertices, each source s keeps the set R_k[s] of
-    vertices within k hops as one int bitset, and every row advances at
-    once: ``R_{k+1}[s] = R_k[s] | OR over v in N(s) of R_k[v]``. This is
-    exact on an undirected graph, since a vertex within k + 1 hops of s is
-    s itself or within k hops of a neighbour of s. Once every row is full,
-    ``d[s, v]`` is the number of levels whose row lacks v, read for all
-    levels in one ``unpackbits``. On graphs this small a level costs a few
-    Python int operations per edge, well below the fixed numpy cost of
-    one level of the blocked kernel; ``_WORD_MAX_N`` records where the
-    two meet.
+    Each source s keeps the set R_k[s] of vertices within k hops as a
+    bitset, and every row advances at once:
+    ``R_{k+1}[s] = R_k[s] | OR over v in N(s) of R_k[v]``. This is exact on
+    an undirected graph, since a vertex within k + 1 hops of s is s itself
+    or within k hops of a neighbour of s. ``d[s, v]`` is the number of
+    levels whose row lacks v, which is ``min(dist(s, v), k)`` after k levels
+    and the distance once every row is full. Three forms run this BFS:
 
-    Larger graphs run in blocks of 128 source rows, and the frontier (the
-    (source, vertex) pairs first reached at level k-1) advances one level
-    at a time in one of two forms, whichever is cheaper for its size:
+    - Up to ``_WORD_MAX_N`` vertices a row is one Python int and a level a
+      few int operations per edge, well below the fixed numpy cost of a
+      level; all levels are read in one ``unpackbits`` at the end.
+    - Above it a row is ``ceil(n/64)`` uint64 words of an ``(n, ceil(n/64))``
+      array, a level is one gather of the neighbours' rows and one
+      ``bitwise_or.reduceat`` over the neighbour lists, and each level's
+      missing bits are added into a level count. A level costs 2m ceil(n/64) word
+      operations plus n^2 for reading the bits, so these levels run only
+      while their total stays within n (n + 2m), one sparse BFS from every
+      source (``_word_level_budget``). On a small-diameter graph that is
+      every level.
+    - Rows still incomplete after that go on in the blocked kernel, 128
+      source rows at a time, from the last word level k: the frontier is
+      the pairs at distance k and the next level is k + 1 (with no word
+      levels, k = 0 and the frontier is the diagonal). The frontier
+      advances in whichever of two forms is cheaper for its size:
 
-    - sparse: gather the frontier vertices' neighbour lists and keep the
-      pairs not seen before; the cost is the frontier's edge count;
-    - dense: multiply the 0/1 frontier matrix by the float32 adjacency
-      matrix ``A``; a positive entry marks a vertex adjacent to the
-      frontier. Every entry is a sum of 0/1 terms and only its sign is
-      read, so the level is exact; no floating-point distance is formed.
+      - sparse: gather the frontier vertices' neighbour lists and keep the
+        pairs not seen before; the cost is the frontier's edge count;
+      - dense: multiply the 0/1 frontier matrix by the float32 adjacency
+        matrix ``A``; a positive entry marks a vertex adjacent to the
+        frontier. Every entry is a sum of 0/1 terms and only its sign is
+        read, so the level is exact; no floating-point distance is formed.
 
-    The choice (see ``_DENSE_RATIO``) keeps the cost within O(n (n + m))
-    for any diameter. Memory is the n x n int64 result, the n x n float32
-    ``A`` (built only if some level is dense) and, per level, O(128 n) or
-    the gathered edges, fewer than 128 n^2 / _DENSE_RATIO.
+      The choice (see ``_DENSE_RATIO``) keeps the kernel within
+      O(n (n + m)) for any diameter, so a long path or cycle costs what it
+      did without the word levels.
+
+    Memory is the n x n int64 result. The numpy word levels add two word
+    arrays of n^2/8 bytes, a uint16 level count of 2 n^2 bytes (freed
+    before the kernel runs), the n^2 bytes of one level's unpacked bits and
+    the gathered rows of one vertex chunk (see ``_GATHER_EDGES``). The
+    blocked kernel adds the n x n float32 ``A`` (built only if some level
+    is dense) and, per level, O(128 n) or the gathered edges, fewer than
+    128 n^2 / _DENSE_RATIO.
 
     Raises InvalidParameterError, before allocating anything, when n
     exceeds ``_EXACT_ORDER_LIMIT``, the order up to which every int64
     distance sum stays exact. Raises DisconnectedError, naming the first
-    source that cannot reach every vertex, when its row stops growing (word
-    form) or its block's frontier empties (blocked form) before the row is
+    source that cannot reach every vertex, when a level changes no row (word
+    forms), when some vertex has no neighbour (before any numpy level runs)
+    or when a block's frontier empties (blocked kernel) before every row is
     complete; the matrix therefore never contains infinities.
     """
     n = g.n
@@ -168,20 +194,26 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     if n <= _WORD_MAX_N:
         return _word_distances(g)
     deg = np.asarray(g.degrees, dtype=np.int64)
+    if n > 1 and not deg.all():
+        # checked first: reduceat would read an empty neighbour list as the next one
+        raise DisconnectedError("vertex 0 cannot reach the whole graph")
     ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
     tail = np.concatenate((ends[0::2], ends[1::2]))
     head = np.concatenate((ends[1::2], ends[0::2]))
-    nbr = first_nbr = adj = None
-    d = np.full((n, n), -1, dtype=np.int64)
+    nbr = head[np.argsort(tail, kind="stable")]  # lists, vertex by vertex
+    first_nbr = np.cumsum(deg) - deg
+    d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m))
+    adj = None
     for lo in range(0, n, _BLOCK_ROWS):
         rows = d[lo : lo + _BLOCK_ROWS]
         b = len(rows)
         flat = rows.reshape(-1)  # a view: rows of d are contiguous
-        keys = np.arange(lo, lo + b * (n + 1), n + 1)  # pair (s, v) is (s - lo)*n + v
-        flat[keys] = 0
-        reached = b
-        k = 0
-        while keys.size:
+        reached = np.count_nonzero(flat >= 0)
+        if reached == b * n:
+            continue
+        keys = np.flatnonzero(flat == last)  # pair (s, v) is (s - lo)*n + v
+        k = last
+        while keys.size and reached < b * n:
             k += 1
             e = int(deg[keys % n].sum())  # edges to gather from the frontier
             if e * _DENSE_RATIO > b * n * n:
@@ -194,9 +226,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
                 reach &= rows < 0
                 keys = reach.reshape(-1).nonzero()[0]
             else:
-                if nbr is None:
-                    nbr = head[np.argsort(tail, kind="stable")]  # lists, vertex by vertex
-                    first_nbr = np.cumsum(deg) - deg
                 v = keys % n
                 cnt = deg[v]
                 # each gathered edge's place in nbr, then its pair (s, w)
@@ -212,6 +241,70 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
             raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
     d.setflags(write=False)
     return d
+
+
+def _word_level_budget(n: int, m: int) -> int:
+    """Numpy word levels that cost no more than one sparse BFS from every source.
+
+    A level gathers ``ceil(n/64)`` words per edge end and reads n^2 bits;
+    a sparse BFS from every source visits n (n + 2m) vertices and edge ends.
+    """
+    return n * (n + 2 * m) // (2 * m * -(-n // 64) + n * n)
+
+
+def _numpy_word_levels(
+    n: int, nbr: np.ndarray, first_nbr: np.ndarray, budget: int
+) -> tuple[np.ndarray, int]:
+    """At most ``budget`` levels of the word recurrence on a uint64 array.
+
+    Row s of ``r`` holds R_k[s] as ``ceil(n/64)`` uint64 words, vertex v at
+    bit v % 8 of byte v // 8 (only bitwise operations touch them), and a
+    level ORs each row with the rows of its neighbours: one gather of
+    ``r[nbr]`` and one ``bitwise_or.reduceat`` over the neighbour lists
+    (none may be empty), in vertex chunks of about ``_GATHER_EDGES`` * n
+    gathered rows. Before each level the bits missing from R_k are added
+    into a uint16 count, so it holds ``min(dist(s, v), k)``; the count is
+    read into the int64 ``d`` once, after the last level.
+
+    Returns ``(d, k)`` with ``d`` exact where the distance is at most k and
+    -1 elsewhere: the whole matrix once every row is full, else the state
+    after ``budget`` levels for the blocked kernel to resume from.
+    """
+    words = -(-n // 64)
+    r = np.zeros((n, 8 * words), dtype=np.uint8)
+    r[np.arange(n), np.arange(n) // 8] = 1 << (np.arange(n) % 8)
+    r = r.view(np.uint64)  # R_0[s] = {s}
+    full = np.bitwise_or.reduce(r, axis=0)
+    grown = np.empty_like(r)
+    bounds = np.append(first_nbr, nbr.size)  # vertex v's neighbours: bounds[v]..bounds[v+1]
+    # not np.unique: its first call imports numpy.ma, tens of ms in a fresh process
+    cuts = np.searchsorted(first_nbr, np.arange(0, nbr.size, _GATHER_EDGES * n))
+    cuts = sorted({*cuts.tolist(), n})
+    chunks = [
+        (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
+        for a, b in zip(cuts, cuts[1:])
+    ]
+
+    def missing(r: np.ndarray) -> np.ndarray:
+        return np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
+
+    counts = np.zeros((n, n), dtype=np.uint16)  # fewer than n <= 55,000 levels run
+    k = 0
+    while not (r == full).all() and k < budget:
+        counts += missing(r)
+        for a, b, chunk_nbr, offsets in chunks:
+            gathered = np.take(r, chunk_nbr, axis=0)
+            np.bitwise_or(r[a:b], np.bitwise_or.reduceat(gathered, offsets), out=grown[a:b])
+        if np.array_equal(grown, r):
+            s = int(np.argmax((r != full).any(axis=1)))
+            raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
+        r, grown = grown, r
+        k += 1
+    d = counts.astype(np.int64)
+    del counts
+    if k == budget:
+        np.copyto(d, -1, where=missing(r).view(bool))
+    return d, k
 
 
 def _word_distances(g: Graph) -> np.ndarray:

@@ -182,6 +182,10 @@ class TestExitStatuses:
         assert run_process("verify", "--claims", "obs1")[0] == 1  # no corpus source
         assert run_process("enumerate")[0] == 1
         assert run_process("nosuchcommand")[0] == 1
+        # an order below 2 is a bad parameter, like --gnp 1,0.5,0 or --family path:1
+        for order in ("1", "0"):
+            assert run_process("verify", "--enumerate", order)[:2] == (1, "")
+            assert run_process("enumerate", "--enumerate", order)[:2] == (1, "")
 
     @pytest.mark.parametrize(
         "command,foreign",
@@ -239,6 +243,7 @@ class TestExitStatuses:
         isolated.write_text("3 1\n0 1\n")
         assert run_process("mycielskian", "--input", str(isolated))[:2] == (3, "")
         assert run_process("enumerate", "--enumerate", "7")[0] == 3
+        assert run_process("verify", "--enumerate", "7")[:2] == (3, "")
 
     def test_order_past_the_exact_limit_is_3(self, monkeypatch, capsys):
         monkeypatch.setattr("mycielski.graph._EXACT_ORDER_LIMIT", 10)

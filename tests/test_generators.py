@@ -317,3 +317,10 @@ class TestEnumeration:
             next(enumerate_connected(7))
         with pytest.raises(InvalidParameterError):
             next(enumerate_connected(1))
+
+    def test_order_is_checked_at_the_call(self):
+        # so the CLI can map a bad order before it writes anything
+        with pytest.raises(TooLargeError):
+            enumerate_connected(7)
+        with pytest.raises(InvalidParameterError):
+            enumerate_connected(1)

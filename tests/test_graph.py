@@ -25,7 +25,9 @@ from mycielski.graph import (
     _EXACT_ORDER_LIMIT,
     _WORD_MAX_N,
     Graph,
+    _numpy_word_levels,
     _word_distances,
+    _word_level_budget,
     all_pairs_distances,
     diameter,
     format_edge_list,
@@ -76,6 +78,11 @@ def word_bound_cases():
         for name, build in SHAPES.items():
             if n >= 3 or name != "cycle":
                 yield pytest.param(lambda build=build, n=n: build(n), id=f"{name}{n}")
+
+
+def unlimited_budget(n, m):
+    """A word-level budget no graph reaches: every diameter is below n."""
+    return n
 
 
 def floyd_warshall(g):
@@ -225,12 +232,115 @@ class TestDistances:
         with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
             all_pairs_distances(Graph(64, [(v, v + 1) for v in range(63) if v != 40]))
 
+    @pytest.mark.parametrize("n", [25, 63, 64, 65, 127, 128, 129])
+    def test_numpy_words_match_references_at_word_widths(self, n):
+        graphs = [build(n) for build in SHAPES.values()] + [giant_component(n, 0.05, n)]
+        for g in graphs:
+            d = all_pairs_distances(g)
+            assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
+            assert np.array_equal(d, bfs_distances(g))
+            assert np.array_equal(d, floyd_warshall(g))
+
+    @pytest.mark.parametrize("in_words", [True, False], ids=["in_words", "handed_off"])
+    def test_disconnected_rejected_across_a_word_boundary(self, in_words, monkeypatch):
+        # two stars, on 0..63 and 64..127: the split falls between two uint64
+        # words. With no budget the word levels see a level change nothing;
+        # stopped after 2 levels, the blocked kernel sees its frontier empty.
+        monkeypatch.setattr(
+            "mycielski.graph._word_level_budget", unlimited_budget if in_words else lambda n, m: 2
+        )
+        raised = []
+
+        def recorded(*args):
+            try:
+                return _numpy_word_levels(*args)
+            except DisconnectedError:
+                raised.append(args[0])
+                raise
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        edges = [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)]
+        for n in (128, 129):
+            with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+                all_pairs_distances(Graph(n, edges + [(127, 128)] * (n - 128)))
+        assert raised == ([128, 129] if in_words else [])
+
+    @pytest.mark.parametrize("isolated", [0, 12, 29])
+    def test_isolated_vertex_rejected_before_any_level(self, isolated, monkeypatch):
+        # reduceat reads an empty neighbour list as the next vertex's list,
+        # so the word levels must never see an isolated vertex
+        def no_levels(*args):
+            raise AssertionError("a word level ran")
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", no_levels)
+        others = [v for v in range(30) if v != isolated]
+        g = Graph(30, zip(others, others[1:]))
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(g)
+
+    @pytest.mark.parametrize(
+        "budget", [0, 1, 2, None], ids=["budget0", "budget1", "budget2", "unlimited"]
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: path(300),
+            lambda: cycle(257),
+            lambda: star(130),
+            lambda: lollipop(100, 30),
+            lambda: erdos_renyi_connected(257, 0.05, 257),
+        ],
+        ids=["path300", "cycle257", "star130", "lollipop100_30", "gnp257"],
+    )
+    def test_blocked_kernel_resumes_after_the_word_levels(self, build, budget, monkeypatch):
+        monkeypatch.setattr(
+            "mycielski.graph._word_level_budget",
+            unlimited_budget if budget is None else (lambda n, m: budget),
+        )
+        handoffs = []
+
+        def recorded(*args):
+            d, k = _numpy_word_levels(*args)
+            handoffs.append((k, bool((d < 0).any())))
+            return d, k
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        g = build()
+        d = all_pairs_distances(g)
+        assert d.dtype == np.int64 and not d.flags.writeable
+        assert np.array_equal(d, bfs_distances(g))
+        assert np.array_equal(d, floyd_warshall(g))
+        # the word levels stop at the budget, or at the diameter with every row full
+        diam = int(d.max())
+        if budget is None or budget >= diam:
+            assert handoffs == [(diam, False)]
+        else:
+            assert handoffs == [(budget, True)]
+
+    def test_default_budget_finishes_small_diameters_in_words(self, monkeypatch):
+        # gnp(1000, 0.02) has diameter 4 and a budget of 15 levels, so the word
+        # levels do it all; a path of 300 gets 2 levels before the hand-off
+        handoffs = []
+
+        def recorded(*args):
+            d, k = _numpy_word_levels(*args)
+            handoffs.append((k, bool((d < 0).any())))
+            return d, k
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        g = erdos_renyi_connected(1000, 0.02, 7)
+        assert _word_level_budget(g.n, g.m) == 15
+        all_pairs_distances(g)
+        all_pairs_distances(path(300))
+        assert handoffs == [(4, False), (2, True)]
+
     @pytest.mark.parametrize("ratio", [0, 2**40], ids=["all_sparse", "all_dense"])
     def test_each_level_form_is_exact_alone(self, ratio, monkeypatch):
         # the kernel picks a form per level; forcing one form everywhere
-        # checks each against the reference on its own, and a word bound of
-        # 0 sends the small graphs through the kernel too
+        # checks each against the reference on its own, and a word bound and
+        # a word-level budget of 0 send every graph through the kernel alone
         monkeypatch.setattr("mycielski.graph._WORD_MAX_N", 0)
+        monkeypatch.setattr("mycielski.graph._word_level_budget", lambda n, m: 0)
         monkeypatch.setattr("mycielski.graph._DENSE_RATIO", ratio)
         graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
         graphs += [mycielskian(g).mu for g in graphs]
