@@ -25,7 +25,7 @@ from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
 from .generators import FAMILIES, build_family, enumerate_connected, erdos_renyi_connected
 from .graph import Graph, format_edge_list, read_edge_list
-from .indices import dd_mycielskian_closed, index_report, randic_bounds
+from .indices import _randic_bounds, dd_mycielskian_closed, index_report
 from .transform import mycielskian
 from .verify import CLAIM_IDS, verify_corpus
 
@@ -78,7 +78,9 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
     record: dict[str, object] = report.as_dict()
     record["randic"] = _json_float(report.randic)
     if report.diameter == 2:
-        bounds = randic_bounds(g)
+        bounds = _randic_bounds(
+            report.n, report.m, report.randic, min(g.degrees), max(g.degrees)
+        )
         record["degree_distance_mu"] = dd_mycielskian_closed(
             report.n, report.m, report.zagreb_m1, report.degree_distance
         )

@@ -90,20 +90,21 @@ _CHUNK = 1 << 16
 _MAX_ATTEMPTS = 10_000
 
 
-def _kept_pairs(n: int, p: float, state: int) -> list[tuple[int, int]]:
+def _kept_pairs(n: int, p: float, state: int) -> np.ndarray:
     """Pairs one attempt keeps: draw k decides the k-th pair in lexicographic order.
 
-    splitmix64 is counter-based, so its k-th output is the mix of
-    ``state + k * gamma`` (mod 2^64), evaluated here a chunk at a time on
-    uint64 arrays. Every operand of the stream is uint64, which wraps mod
-    2^64 the same way under numpy 1.x and NEP 50 promotion.
+    Returns them as one ``(m, 2)`` int64 array, in that order, for the
+    array form of ``Graph``. splitmix64 is counter-based, so its k-th
+    output is the mix of ``state + k * gamma`` (mod 2^64), evaluated here a
+    chunk at a time on uint64 arrays. Every operand of the stream is
+    uint64, which wraps mod 2^64 the same way under numpy 1.x and NEP 50
+    promotion.
     """
     total = n * (n - 1) // 2
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (u, u + 1)
     base = np.uint64(state)
-    us: list[int] = []
-    vs: list[int] = []
+    kept = []
     for lo in range(0, total, _CHUNK):
         hi = min(lo + _CHUNK, total)
         z = base + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GAMMA
@@ -114,9 +115,8 @@ def _kept_pairs(n: int, p: float, state: int) -> list[tuple[int, int]]:
         u01 = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         flat = np.flatnonzero(u01 < p) + lo
         u = np.searchsorted(starts, flat, side="right") - 1
-        us += u.tolist()
-        vs += (flat - starts[u] + u + 1).tolist()
-    return list(zip(us, vs))
+        kept.append(np.stack((u, flat - starts[u] + u + 1), axis=1))
+    return np.concatenate(kept)
 
 
 def erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:

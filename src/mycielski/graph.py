@@ -4,6 +4,12 @@ Vertices are dense 0-based integers. Graphs are immutable after
 construction and all operations here are pure functions, so shared
 instances are safe to use concurrently.
 
+A ``Graph`` is built from an iterable of ``(u, v)`` pairs, the reference
+form, which stays because it is the faster one for the many small graphs
+of exhaustive verification, or from a numpy ``(m, 2)`` integer array,
+canonicalised in numpy, which is how the large ``gnp`` graphs arrive. Both
+give equal graphs of Python ints and the same errors.
+
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
 from every source at once, in up to three forms. Up to ``_WORD_MAX_N``
 vertices each source's reached set is one Python int bitset and a level is
@@ -49,13 +55,29 @@ class Graph:
     Edge input order and duplicates are normalised away: ``edges`` is a
     lexicographically sorted tuple of ``(u, v)`` pairs with ``u < v``,
     which gives every graph one canonical encoding.
+
+    ``pairs`` comes in two forms that build equal graphs, attribute for
+    attribute and all of Python ints:
+
+    - any iterable of ``(u, v)`` pairs, checked and collected one pair at a
+      time into neighbour sets. This is the reference form, and the faster
+      one for the small graphs of exhaustive verification;
+    - a numpy integer array of shape ``(m, 2)``, canonicalised in numpy
+      (``_from_array``), which is what the large ``gnp`` graphs use. Any
+      other array (float, bool, another shape) raises InvalidParameterError.
+
+    Either form raises SelfLoopError or VertexOutOfRangeError, with the
+    same message, for the first bad pair in input order.
     """
 
     __slots__ = ("n", "edges", "adjacency", "degrees")
 
-    def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 1:
             raise InvalidParameterError("a graph needs at least one vertex")
+        if isinstance(pairs, np.ndarray):
+            self._from_array(n, pairs)
+            return
         neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in pairs:
             if u == v:
@@ -70,6 +92,45 @@ class Graph:
             [(u, v) for u, s in enumerate(neighbors) for v in sorted(s) if u < v]
         )
         self.degrees: tuple[int, ...] = tuple(map(len, neighbors))
+
+    def _from_array(self, n: int, pairs: np.ndarray) -> None:
+        """The array form of ``__init__``: the same attributes, built in numpy.
+
+        Pairs are written as (min, max), sorted by ``lexsort``, which needs
+        no ``u * n + v`` key that could overflow, and deduplicated by
+        comparing neighbours. Both steps are skipped when the pairs already
+        increase strictly, as ``gnp``'s do: the O(m) check costs a fiftieth
+        of the sort. Each vertex's neighbours are then one slice of the edge
+        ends under one stable argsort.
+        """
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
+            raise InvalidParameterError(
+                f"an edge array must be integer of shape (m, 2), got {pairs.dtype} {pairs.shape}"
+            )
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if bad.any():
+            # the iterable form raises the reference error for the first bad pair
+            Graph(n, [tuple(pairs[np.argmax(bad)].tolist())])
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
+        if not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            first = np.ones(lo.size, dtype=bool)
+            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            lo, hi = lo[first], hi[first]
+        tail = np.concatenate((lo, hi))
+        head = np.concatenate((hi, lo))[np.argsort(tail, kind="stable")].tolist()
+        deg = np.bincount(tail, minlength=n)
+        ends = np.cumsum(deg).tolist()
+        degrees = deg.tolist()
+        self.n = n
+        self.adjacency = tuple(
+            frozenset(head[end - k : end]) for end, k in zip(ends, degrees)
+        )
+        self.edges = tuple(zip(lo.tolist(), hi.tolist()))
+        self.degrees = tuple(degrees)
 
     @property
     def m(self) -> int:
@@ -233,7 +294,13 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
                 cand += np.arange(e)
                 cand = nbr[cand]
                 cand += np.repeat(keys - v, cnt)
-                keys = np.unique(cand[flat[cand] < 0])
+                # sorted and deduplicated in place; np.unique would import
+                # numpy.ma on its first call, tens of ms in a fresh process
+                keys = cand[flat[cand] < 0]
+                keys.sort()
+                first = np.ones(keys.size, dtype=bool)
+                first[1:] = keys[1:] != keys[:-1]
+                keys = keys[first]
             flat[keys] = k
             reached += keys.size
         if reached < b * n:

@@ -113,13 +113,17 @@ def randic_bounds(g: Graph) -> RandicBounds:
     maximum degree (lower) or minimum degree (upper)."""
     if g.m == 0:
         raise NoEdgesError("Randic bounds need at least one edge")
-    n, m = g.n, g.m
-    half_r = randic(g) / 2.0
-    delta, big_delta = min(g.degrees), max(g.degrees)
+    return _randic_bounds(g.n, g.m, randic(g), min(g.degrees), max(g.degrees))
+
+
+def _randic_bounds(n: int, m: int, r: float, delta: int, big_delta: int) -> RandicBounds:
+    """``randic_bounds`` from the order, size, Randić index and degree extremes,
+    for callers that already hold R(G)."""
     if delta == 0:
         # only reachable on disconnected inputs; the upper bound divides by
         # sqrt(delta^2 + delta)
         raise InvalidParameterError("bounds undefined at minimum degree 0")
+    half_r = r / 2.0
     lower = half_r + (math.sqrt(2.0) * m + math.sqrt(n * big_delta)) / math.sqrt(
         big_delta * big_delta + big_delta
     )

@@ -10,6 +10,7 @@ from mycielski import generators
 from mycielski.cli import _corpus, build_parser, main
 from mycielski.generators import erdos_renyi_connected
 from mycielski.graph import all_pairs_distances, parse_edge_list
+from mycielski.indices import randic
 
 
 def run_cli(*args):
@@ -80,6 +81,36 @@ class TestCompute:
         record = json.loads(out)
         assert record["diameter"] == 2 and "degree_distance_mu" in record
         assert calls == [30]
+
+    def test_diameter_two_computes_randic_once(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return randic(g)
+
+        monkeypatch.setattr("mycielski.indices.randic", counted)
+        status, out = run_cli("compute", "--family", "gnp:30,0.5,3")
+        assert status == 0
+        assert "randic_mu_lower" in json.loads(out)
+        assert calls == [30]
+
+    def test_first_compute_imports_no_numpy_ma(self):
+        # path:300 runs the blocked kernel's sparse levels; numpy 1.x imports
+        # numpy.ma with numpy itself, so only a module the compute adds counts
+        script = (
+            "import os, sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from mycielski.cli import main\n"
+            "status = main(['compute', '--family', 'path:300', '--output', os.devnull])\n"
+            "print(status, before, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        status, before, after = proc.stdout.split()
+        assert status == "0"
+        assert after == before
 
 
 class TestMycielskian:

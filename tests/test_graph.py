@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from mycielski import generators
 from mycielski.errors import (
     DisconnectedError,
     EdgeListParseError,
@@ -14,6 +15,7 @@ from mycielski.errors import (
 )
 from mycielski.generators import (
     complete,
+    complete_bipartite,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
@@ -131,6 +133,119 @@ class TestConstruction:
     @settings(max_examples=60)
     def test_degree_sum_is_twice_edge_count(self, g):
         assert sum(g.degrees) == 2 * g.m
+
+
+def assert_forms_agree(n, pairs, dtype=np.int64):
+    """Graph(n, array) equals the iterable reference, attribute for attribute."""
+    ref = Graph(n, [(int(u), int(v)) for u, v in pairs])
+    got = Graph(n, np.array(pairs, dtype=dtype).reshape(-1, 2))
+    assert (got.n, got.edges, got.adjacency, got.degrees) == (
+        ref.n, ref.edges, ref.adjacency, ref.degrees
+    )
+    assert type(got.n) is int
+    assert all(type(x) is int for e in got.edges for x in e)
+    assert all(type(x) is int for x in got.degrees)
+    assert all(type(s) is frozenset for s in got.adjacency)
+    assert all(type(x) is int for s in got.adjacency for x in s)
+
+
+def array_error(n, pairs, dtype=np.int64):
+    with pytest.raises((SelfLoopError, VertexOutOfRangeError)) as info:
+        Graph(n, np.array(pairs, dtype=dtype))
+    return type(info.value), str(info.value)
+
+
+def iterable_error(n, pairs):
+    with pytest.raises((SelfLoopError, VertexOutOfRangeError)) as info:
+        Graph(n, pairs)
+    return type(info.value), str(info.value)
+
+
+class TestArrayForm:
+    """The numpy (m, 2) input form against the iterable reference form."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_connected_graph_up_to_five_vertices(self, n):
+        for g in enumerate_connected(n):
+            pairs = list(g.edges)
+            assert_forms_agree(n, pairs)
+            assert_forms_agree(n, [(v, u) for u, v in reversed(pairs)])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: path(30), lambda: cycle(30), lambda: complete(12), lambda: star(9),
+         lambda: complete_bipartite(3, 4), petersen],
+        ids=["path", "cycle", "complete", "star", "kbipartite", "petersen"],
+    )
+    def test_families(self, build):
+        g = build()
+        assert_forms_agree(g.n, list(g.edges))
+        assert_forms_agree(g.n, [(v, u) for u, v in reversed(g.edges)])
+
+    @pytest.mark.parametrize("n,p", [(25, 0.1), (25, 0.3), (25, 0.8), (300, 0.02), (300, 0.3)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_gnp_draws(self, n, p, seed):
+        kept = generators._kept_pairs(n, p, seed)
+        assert_forms_agree(n, [tuple(r) for r in kept.tolist()])
+        g = erdos_renyi_connected(n, p, seed)
+        assert_forms_agree(n, list(g.edges))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.int8, np.uint16])
+    def test_built_inputs(self, dtype):
+        assert_forms_agree(4, [(3, 0), (2, 1), (1, 0), (3, 2)], dtype)  # reversed, unsorted
+        assert_forms_agree(4, [(0, 1), (1, 0), (0, 1), (2, 3), (3, 2), (3, 2)], dtype)
+        assert_forms_agree(4, [(1, 2), (2, 1), (0, 3), (1, 2)], dtype)
+        assert_forms_agree(3, [], dtype)
+        assert_forms_agree(1, [], dtype)
+        assert_forms_agree(6, [(0, 5)], dtype)
+
+    def test_large_vertex_ids_stay_exact(self):
+        # the array form sorts by lexsort, with no u * n + v key to overflow;
+        # an order where such a key would (n > 3.04e9) allocates more than
+        # either form can hold, so this checks ids near a large n instead
+        n = 200_000
+        pairs = [(n - 1, 0), (n - 2, n - 1), (n - 1, 0), (1, n - 1), (n - 2, 1)]
+        for dtype in (np.int64, np.uint64, np.int32):
+            assert_forms_agree(n, pairs, dtype)
+
+    @pytest.mark.parametrize(
+        "n,pairs",
+        [
+            (5, [(0, 1), (2, 2), (0, 7)]),  # self-loop before out-of-range
+            (5, [(0, 1), (0, 7), (2, 2)]),  # out-of-range before self-loop
+            (5, [(0, 1), (3, -1)]),  # negative vertex
+            (5, [(0, 1), (5, 2)]),  # vertex == n
+            (5, [(1, 2), (5, 5)]),  # both at once: the self-loop check comes first
+            (1, [(0, 0)]),
+        ],
+    )
+    def test_bad_rows_raise_the_reference_error(self, n, pairs):
+        assert array_error(n, pairs) == iterable_error(n, pairs)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int8, np.uint64])
+    def test_bad_rows_in_other_dtypes(self, dtype):
+        for pairs in ([(0, 1), (4, 6)], [(3, 3), (0, 9)]):
+            assert array_error(5, pairs, dtype) == iterable_error(5, pairs)
+
+    def test_huge_unsigned_vertex_is_reported_exactly(self):
+        pairs = [(0, 1), (0, 2**63 + 1)]
+        assert array_error(5, pairs, np.uint64) == iterable_error(5, pairs)
+        assert "9223372036854775809" in array_error(5, pairs, np.uint64)[1]
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[0.0, 1.0]]),
+            np.array([[0, 1, 2]]),
+            np.array([0, 1]),
+            np.array([[True, False]]),
+            np.empty((0, 3), dtype=np.int64),
+        ],
+        ids=["float", "three-columns", "one-dimensional", "bool", "empty-three-columns"],
+    )
+    def test_other_arrays_are_rejected(self, arr):
+        with pytest.raises(InvalidParameterError):
+            Graph(3, arr)
 
 
 class TestDistances:
