@@ -6,9 +6,9 @@ instances are safe to use concurrently.
 
 A ``Graph`` is built from an iterable of ``(u, v)`` pairs, the reference
 form, which stays because it is the faster one for the many small graphs
-of exhaustive verification, or from a numpy ``(m, 2)`` integer array,
-canonicalised in numpy, which is how the large ``gnp`` graphs arrive. Both
-give equal graphs of Python ints and the same errors.
+of exhaustive verification, or from a numpy ``(m, 2)`` integer array such
+as ``gnp``'s, built in numpy when already in canonical order. Both give
+equal graphs of Python ints and the same errors.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
 from every source at once, in up to three forms. Up to ``_WORD_MAX_N``
@@ -62,9 +62,10 @@ class Graph:
     - any iterable of ``(u, v)`` pairs, checked and collected one pair at a
       time into neighbour sets. This is the reference form, and the faster
       one for the small graphs of exhaustive verification;
-    - a numpy integer array of shape ``(m, 2)``, canonicalised in numpy
-      (``_from_array``), which is what the large ``gnp`` graphs use. Any
-      other array (float, bool, another shape) raises InvalidParameterError.
+    - a numpy integer array of shape ``(m, 2)``, as the large ``gnp``
+      graphs use, built in numpy when its rows are already canonical
+      (``_from_array``) and as a list otherwise. Any other array (float,
+      bool, another shape) raises InvalidParameterError.
 
     Either form raises SelfLoopError or VertexOutOfRangeError, with the
     same message, for the first bad pair in input order.
@@ -76,8 +77,9 @@ class Graph:
         if n < 1:
             raise InvalidParameterError("a graph needs at least one vertex")
         if isinstance(pairs, np.ndarray):
-            self._from_array(n, pairs)
-            return
+            if self._from_array(n, pairs):
+                return
+            pairs = pairs.tolist()
         neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in pairs:
             if u == v:
@@ -93,35 +95,31 @@ class Graph:
         )
         self.degrees: tuple[int, ...] = tuple(map(len, neighbors))
 
-    def _from_array(self, n: int, pairs: np.ndarray) -> None:
+    def _from_array(self, n: int, pairs: np.ndarray) -> bool:
         """The array form of ``__init__``: the same attributes, built in numpy.
 
-        Pairs are written as (min, max), sorted by ``lexsort``, which needs
-        no ``u * n + v`` key that could overflow, and deduplicated by
-        comparing neighbours. Both steps are skipped when the pairs already
-        increase strictly, as ``gnp``'s do: the O(m) check costs a fiftieth
-        of the sort. Each vertex's neighbours are then one slice of the edge
-        ends under one stable argsort.
+        Builds only canonical input, rows ``(u, v)`` with ``0 <= u < v < n``
+        in strictly increasing order, as ``gnp`` hands over, and returns
+        whether it did. Each vertex's neighbours are one slice of the edge
+        ends under one stable argsort. Any other integer array, with bad,
+        reversed, repeated or unsorted rows, is left to the iterable form,
+        which canonicalises it and raises its errors.
         """
         if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
             raise InvalidParameterError(
                 f"an edge array must be integer of shape (m, 2), got {pairs.dtype} {pairs.shape}"
             )
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        bad = (lo == hi) | (lo < 0) | (hi >= n)
-        if bad.any():
-            # the iterable form raises the reference error for the first bad pair
-            Graph(n, [tuple(pairs[np.argmax(bad)].tolist())])
-        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
-        if not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
-            first = np.ones(lo.size, dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            lo, hi = lo[first], hi[first]
-        tail = np.concatenate((lo, hi))
-        head = np.concatenate((hi, lo))[np.argsort(tail, kind="stable")].tolist()
+        # uint64 ids of 2^63 and above wrap to negative and so fail the check
+        u, v = pairs.astype(np.int64, copy=False).T
+        if not (
+            (u >= 0).all()
+            and (u < v).all()
+            and (v < n).all()
+            and ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all()
+        ):
+            return False
+        tail = np.concatenate((u, v))
+        head = np.concatenate((v, u))[np.argsort(tail, kind="stable")].tolist()
         deg = np.bincount(tail, minlength=n)
         ends = np.cumsum(deg).tolist()
         degrees = deg.tolist()
@@ -129,8 +127,9 @@ class Graph:
         self.adjacency = tuple(
             frozenset(head[end - k : end]) for end, k in zip(ends, degrees)
         )
-        self.edges = tuple(zip(lo.tolist(), hi.tolist()))
+        self.edges = tuple(zip(u.tolist(), v.tolist()))
         self.degrees = tuple(degrees)
+        return True
 
     @property
     def m(self) -> int:

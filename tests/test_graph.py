@@ -186,6 +186,7 @@ class TestArrayForm:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_gnp_draws(self, n, p, seed):
         kept = generators._kept_pairs(n, p, seed)
+        assert Graph.__new__(Graph)._from_array(n, kept)  # built in numpy
         assert_forms_agree(n, [tuple(r) for r in kept.tolist()])
         g = erdos_renyi_connected(n, p, seed)
         assert_forms_agree(n, list(g.edges))
@@ -200,13 +201,15 @@ class TestArrayForm:
         assert_forms_agree(6, [(0, 5)], dtype)
 
     def test_large_vertex_ids_stay_exact(self):
-        # the array form sorts by lexsort, with no u * n + v key to overflow;
-        # an order where such a key would (n > 3.04e9) allocates more than
+        # the array form compares ids, with no u * n + v key to overflow; an
+        # order where such a key would (n > 3.04e9) allocates more than
         # either form can hold, so this checks ids near a large n instead
         n = 200_000
         pairs = [(n - 1, 0), (n - 2, n - 1), (n - 1, 0), (1, n - 1), (n - 2, 1)]
+        canonical = sorted({(min(p), max(p)) for p in pairs})
         for dtype in (np.int64, np.uint64, np.int32):
             assert_forms_agree(n, pairs, dtype)
+            assert_forms_agree(n, canonical, dtype)
 
     @pytest.mark.parametrize(
         "n,pairs",
