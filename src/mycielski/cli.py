@@ -23,11 +23,11 @@ from typing import Iterable, Iterator, TextIO
 
 from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
-from .generators import FAMILIES, build_family, enumerate_connected, erdos_renyi_connected
+from .generators import FAMILIES, build_family, enumerate_connected
 from .graph import Graph, format_edge_list, read_edge_list
 from .indices import _randic_bounds, dd_mycielskian_closed, index_report
 from .transform import mycielskian
-from .verify import CLAIM_IDS, verify_corpus
+from .verify import CLAIM_IDS, _fmt, verify_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _json_float(x: float) -> float:
-    return float(_fmt_float(x))
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
@@ -76,7 +72,6 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
     g = _load_graph(args)
     report = index_report(g)
     record: dict[str, object] = report.as_dict()
-    record["randic"] = _json_float(report.randic)
     if report.diameter == 2:
         bounds = _randic_bounds(
             report.n, report.m, report.randic, min(g.degrees), max(g.degrees)
@@ -84,11 +79,11 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
         record["degree_distance_mu"] = dd_mycielskian_closed(
             report.n, report.m, report.zagreb_m1, report.degree_distance
         )
-        record["randic_mu_lower"] = _json_float(bounds.lower)
-        record["randic_mu_upper"] = _json_float(bounds.upper)
+        record["randic_mu_lower"] = bounds.lower
+        record["randic_mu_upper"] = bounds.upper
         record["is_regular"] = bounds.is_regular
     if args.format == "json":
-        out.write(json.dumps(record, indent=2) + "\n")
+        out.write(json.dumps(_fmt(record), indent=2) + "\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(record.keys())
@@ -124,11 +119,7 @@ def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
         if args.enumerate is not None:
             return _enumerated(args.enumerate)
         return [_load_graph(args)]
-    try:
-        n_s, p_s, seed_s = args.gnp.split(",")
-        n, p, seed = int(n_s), float(p_s), int(seed_s)
-    except ValueError as exc:
-        raise _UsageError(f"bad --gnp value {args.gnp!r}: expected n,p,seed") from exc
+    params, _, seed = args.gnp.rpartition(",")
     trials = 1 if args.trials is None else args.trials
     if trials < 1:
         raise _UsageError("--trials must be at least 1")
@@ -138,8 +129,8 @@ def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
         # starting trial t that many seeds after trial t-1 keeps the chains apart
         for t in range(trials):
             try:
-                yield erdos_renyi_connected(n, p, seed + t * generators._MAX_ATTEMPTS)
-            except InvalidParameterError as exc:
+                yield build_family(f"gnp:{params},{int(seed) + t * generators._MAX_ATTEMPTS}")
+            except (ValueError, InvalidParameterError) as exc:
                 raise _UsageError(f"bad --gnp value {args.gnp!r}: {exc}") from exc
 
     return samples()

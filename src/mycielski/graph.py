@@ -18,9 +18,10 @@ and advance every source by one numpy gather and OR-reduce per level, for
 as many levels as cost no more than one sparse BFS from every source; any
 rows still incomplete then go on in the blocked kernel, 128 sources at a
 time, by neighbour-list gathers or, for large frontiers, one
-frontier-by-adjacency product. Every form returns the exact distances as a
-read-only ``(n, n)`` int64 array. The brute-force oracles of ``verify``
-(obs2, thm_dd) run it on the explicitly built Mycielskian.
+frontier-by-adjacency product. Every form reads its neighbour lists from
+``Graph.adjacency`` and returns the exact distances as a read-only
+``(n, n)`` int64 array. The brute-force oracles of ``verify`` (obs2,
+thm_dd) run it on the explicitly built Mycielskian.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
       level; all levels are read in one ``unpackbits`` at the end.
     - Above it a row is ``ceil(n/64)`` uint64 words of an ``(n, ceil(n/64))``
       array, a level is one gather of the neighbours' rows and one
-      ``bitwise_or.reduceat`` over the neighbour lists, and each level's
+      ``bitwise_or.reduceat`` over the sets of ``g.adjacency`` laid end to
+      end (in set order, which no form depends on), and each level's
       missing bits are added into a level count. A level costs 2m ceil(n/64) word
       operations plus n^2 for reading the bits, so these levels run only
       while their total stays within n (n + 2m), one sparse BFS from every
@@ -257,10 +259,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     if n > 1 and not deg.all():
         # checked first: reduceat would read an empty neighbour list as the next one
         raise DisconnectedError("vertex 0 cannot reach the whole graph")
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.m)
-    tail = np.concatenate((ends[0::2], ends[1::2]))
-    head = np.concatenate((ends[1::2], ends[0::2]))
-    nbr = head[np.argsort(tail, kind="stable")]  # lists, vertex by vertex
+    nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
     first_nbr = np.cumsum(deg) - deg
     d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m))
     adj = None
@@ -279,7 +278,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
             if e * _DENSE_RATIO > b * n * n:
                 if adj is None:
                     adj = np.zeros((n, n), dtype=np.float32)
-                    adj[tail, head] = 1.0
+                    adj[np.repeat(np.arange(n), deg), nbr] = 1.0
                 frontier = np.zeros((b, n), dtype=np.float32)
                 frontier.reshape(-1)[keys] = 1.0
                 reach = np.matmul(frontier, adj) > 0

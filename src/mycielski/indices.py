@@ -53,8 +53,8 @@ def wiener(g: Graph) -> int:
 
 
 def first_zagreb(g: Graph) -> int:
-    """Sum over edges of endpoint degrees, equal to the degree-square sum."""
-    return sum(g.degrees[u] + g.degrees[v] for u, v in g.edges)
+    """Degree-square sum, equal to the sum over edges of endpoint degrees."""
+    return sum(d * d for d in g.degrees)
 
 
 def randic(g: Graph) -> float:

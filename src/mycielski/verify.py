@@ -141,60 +141,52 @@ def _context(
     return layout, dm, violations
 
 
-# Every check takes (g, layout, dm) and returns its number of comparisons
-# and the failure, if any.
+# Every check takes (g, layout, dm) and returns its number of comparisons,
+# whether the claim holds, and the oracle's and the formula's values, which
+# ``_run`` records in a Failure when it does not.
 
 
-def _check_obs1(g: Graph, layout: MycielskianLayout, dm) -> tuple[int, Failure | None]:
+def _check_obs1(g: Graph, layout: MycielskianLayout, dm):
     by_formula, by_adjacency = mu_degrees(layout), layout.mu.degrees
-    if by_formula != by_adjacency:
-        return len(by_formula), Failure(g.edges, list(by_adjacency), list(by_formula))
-    return len(by_formula), None
+    return len(by_formula), by_formula == by_adjacency, list(by_adjacency), list(by_formula)
 
 
-def _check_obs2(
-    g: Graph, layout: MycielskianLayout, dm: np.ndarray
-) -> tuple[int, Failure | None]:
+def _check_obs2(g: Graph, layout: MycielskianLayout, dm: np.ndarray):
     closed = mu_distance_matrix(layout, dm)
     bfs = all_pairs_distances(layout.mu)
-    if not np.array_equal(closed, bfs):
-        bad = np.argwhere(closed != bfs)
-        return closed.size, Failure(
-            g.edges,
-            [[int(u), int(v), int(bfs[u, v])] for u, v in bad],
-            [[int(u), int(v), int(closed[u, v])] for u, v in bad],
-        )
-    return closed.size, None
+    if np.array_equal(closed, bfs):
+        return closed.size, True, None, None
+    bad = np.argwhere(closed != bfs)
+    return (
+        closed.size,
+        False,
+        [[int(u), int(v), int(bfs[u, v])] for u, v in bad],
+        [[int(u), int(v), int(closed[u, v])] for u, v in bad],
+    )
 
 
-def _check_lemma3(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+def _check_lemma3(g: Graph, layout, dm):
     brute = distance2_degree_sum(g)
     formula = 2 * (g.n - 1) * g.m - first_zagreb(g)
-    if brute != formula:
-        return 1, Failure(g.edges, brute, formula)
-    return 1, None
+    return 1, brute == formula, brute, formula
 
 
-def _check_thm_dd(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+def _check_thm_dd(g: Graph, layout, dm):
     closed = dd_mycielskian_closed(g.n, g.m, first_zagreb(g), degree_distance(g))
     brute = degree_distance(mycielskian(g).mu)
-    if closed != brute:
-        return 1, Failure(g.edges, brute, closed)
-    return 1, None
+    return 1, closed == brute, brute, closed
 
 
-def _check_randic_bounds(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+def _check_randic_bounds(g: Graph, layout, dm):
     bounds, r_mu = randic_bounds(g), randic(mycielskian(g).mu)
-    if not (bounds.lower - BOUND_TOL <= r_mu <= bounds.upper + BOUND_TOL):
-        return 2, Failure(g.edges, {"lower": bounds.lower, "upper": bounds.upper}, r_mu)
-    return 2, None
+    holds = bounds.lower - BOUND_TOL <= r_mu <= bounds.upper + BOUND_TOL
+    return 2, holds, {"lower": bounds.lower, "upper": bounds.upper}, r_mu
 
 
-def _check_randic_equality(g: Graph, layout, dm) -> tuple[int, Failure | None]:
+def _check_randic_equality(g: Graph, layout, dm):
     bounds, r_mu = randic_bounds(g), randic(mycielskian(g).mu)
-    if abs(r_mu - bounds.lower) > BOUND_TOL or abs(r_mu - bounds.upper) > BOUND_TOL:
-        return 2, Failure(g.edges, {"lower": bounds.lower, "upper": bounds.upper}, r_mu)
-    return 2, None
+    holds = not (abs(r_mu - bounds.lower) > BOUND_TOL or abs(r_mu - bounds.upper) > BOUND_TOL)
+    return 2, holds, {"lower": bounds.lower, "upper": bounds.upper}, r_mu
 
 
 # claim id -> (hypothesis, check), in report order
@@ -227,10 +219,10 @@ def _run(
             started = time.perf_counter()
             violation = violations[hypothesis]
             if violation is None:
-                checked, failure = check(g, layout, dm)
+                checked, holds, expected, actual = check(g, layout, dm)
                 out.checked += checked
-                if failure:
-                    out.failures.append(failure)
+                if not holds:
+                    out.failures.append(Failure(g.edges, expected, actual))
             elif strict:
                 raise violation
             else:

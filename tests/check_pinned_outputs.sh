@@ -1,0 +1,23 @@
+#!/usr/bin/env bash
+# Diff every pinned output against its expected file, byte for byte, and
+# stop at the first difference or failing command:
+# - each demo's stdout against demos/expected/ (the demo must also exit 0);
+# - the whole n=6 verification report against tests/expected/;
+# - the compute reports against tests/expected/. APSP runs in numpy word
+#   levels alone on the two gnp graphs and is handed off to the blocked
+#   kernel on cycle and path.
+# Run from the repository root:
+#   bash tests/check_pinned_outputs.sh
+set -euo pipefail
+out=$(mktemp)
+trap 'rm -f "$out"' EXIT
+for demo in demos/*.py; do
+  PYTHONPATH=src python3 "$demo" > "$out"
+  diff -u "demos/expected/$(basename "$demo" .py).txt" "$out"
+done
+PYTHONPATH=src python3 -m mycielski verify --enumerate 6 > "$out"
+diff -u tests/expected/verify_enumerate_6.json "$out"
+for spec in gnp:1000,0.02,7 gnp:300,0.3,7 cycle:1000 path:3000; do
+  PYTHONPATH=src python3 -m mycielski compute --family "$spec" > "$out"
+  diff -u "tests/expected/compute_${spec/:/_}.json" "$out"
+done

@@ -165,6 +165,14 @@ class TestVerify:
             int(n), float(p), int(seed) + 3 * generators._MAX_ATTEMPTS
         )
 
+    @pytest.mark.parametrize("spec", ["10,0.3,0", "12,0.1,0", "10,,0.3,0"])
+    def test_gnp_spec_is_a_family_spec(self, spec):
+        # --gnp S is the gnp family spec S, so it parses as leniently
+        # (empty fields are dropped, as in cycle:5,) and reports the same
+        status, out = run_cli("verify", "--gnp", spec)
+        assert (status, out) == run_cli("verify", "--family", f"gnp:{spec}")
+        assert status == 0 and out
+
     def test_single_family(self):
         status, out = run_cli("verify", "--family", "petersen")
         assert status == 0
@@ -249,8 +257,14 @@ class TestExitStatuses:
             ("verify", "--gnp", "5,1.5,0"),
             ("verify", "--family", "gnp:1,0.5,0"),
             ("compute", "--family", "gnp:5,1.5,0"),
+            ("verify", "--gnp", "10,0.3"),
+            ("verify", "--gnp", "10,0.3,x"),
+            ("verify", "--gnp", "10,0.3,1.5"),
         ],
-        ids=["verify-gnp-n", "verify-gnp-p", "verify-family-n", "compute-family-p"],
+        ids=[
+            "verify-gnp-n", "verify-gnp-p", "verify-family-n", "compute-family-p",
+            "verify-gnp-no-seed", "verify-gnp-seed-word", "verify-gnp-seed-float",
+        ],
     )
     def test_invalid_gnp_parameters_are_usage_errors(self, args):
         code, out, err = run_process(*args)

@@ -10,6 +10,7 @@ from mycielski.errors import (
     TooSmallError,
 )
 from mycielski.generators import (
+    build_family,
     complete,
     cycle,
     enumerate_connected,
@@ -233,6 +234,53 @@ class TestFailureReports:
         assert record["failures"][0]["expected"] == [[0, 8, 2]]
         monkeypatch.undo()
         assert main(["verify", "--claims", "obs2", "--family", "cycle:4"]) == 0
+
+    @pytest.mark.parametrize(
+        "claim,name,fake,spec,checked,expected,actual",
+        [
+            # the brute-force sum is the oracle, so it lands in expected
+            ("lemma3", "distance2_degree_sum", lambda f: lambda g: f(g) + 1,
+             "petersen", 1, 181, 180),
+            # brute force on the built mu is the oracle, the closed form the actual
+            ("thm_dd", "dd_mycielskian_closed", lambda f: lambda *a: f(*a) + 1,
+             "petersen", 1, 3780, 3781),
+            # the bounds of G are expected, R(mu) is the actual
+            ("randic_bounds", "randic", lambda f: lambda g: 1e9,
+             "cycle:5", 2, {"lower": 5.42774579468, "upper": 5.42774579468}, 1e9),
+            ("randic_equality", "randic", lambda f: lambda g: 1e9,
+             "cycle:5", 2, {"lower": 5.42774579468, "upper": 5.42774579468}, 1e9),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_scalar_claims_report_replayable_failures(
+        self, monkeypatch, capsys, claim, name, fake, spec, checked, expected, actual
+    ):
+        import mycielski.verify as verify
+
+        monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+        g = build_family(spec)
+        (out,) = verify_corpus([claim], [g])
+        assert out.checked == checked
+        (failure,) = out.failures
+        assert failure.edges == g.edges
+        assert type(failure.actual) is type(actual)
+        if isinstance(expected, dict):
+            assert set(failure.expected) == {"lower", "upper"}
+            assert all(type(v) is float for v in failure.expected.values())
+        else:
+            assert type(failure.expected) is int and failure.expected == expected
+            assert failure.actual == actual
+        record = {
+            "edges": [list(e) for e in g.edges],
+            "expected": expected,
+            "actual": actual,
+        }
+        as_json = json.loads(json.dumps(out.as_dict(include_timing=False)))
+        assert as_json["failures"] == [record]
+        assert main(["verify", "--claims", claim, "--family", spec]) == 4
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["checked"] == checked
+        assert report["failures"] == [record]
 
     def test_diameter_errors_carry_plain_ints(self):
         with pytest.raises(DiameterNotTwoError) as excinfo:
