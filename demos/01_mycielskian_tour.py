@@ -32,9 +32,10 @@ print()
 print("=" * 64)
 print("mu(C5) is the Grotzsch graph: 11 vertices, 20 edges")
 print("=" * 64)
-layout = mycielskian(cycle(5))
+g = cycle(5)
+layout = mycielskian(g)
 print("vertices:", layout.mu.n, " edges:", layout.mu.m)
-degrees = mu_degrees(layout)
+degrees = mu_degrees(g)
 print("root degree:", degrees[layout.root], "(always n)")
 print("shadow degrees:", [degrees[layout.shadow(i)] for i in range(5)],
       "(always 1 + base degree)")
@@ -47,7 +48,7 @@ print("Distances in mu(G) come from G alone, no BFS on mu needed")
 print("=" * 64)
 g = cycle(4)
 layout = mycielskian(g)
-closed_form = mu_distance_matrix(layout, all_pairs_distances(g))
+closed_form = mu_distance_matrix(all_pairs_distances(g))
 by_bfs = all_pairs_distances(layout.mu)
 print("closed-form matrix for mu(C4):")
 print(closed_form)

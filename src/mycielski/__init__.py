@@ -14,7 +14,6 @@ from .errors import (
     EdgeListParseError,
     GraphError,
     InvalidParameterError,
-    MatrixMismatchError,
     NoEdgesError,
     SelfLoopError,
     TooLargeError,

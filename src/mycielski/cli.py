@@ -9,7 +9,8 @@ explicit, and verify timings are zeroed unless ``--timings`` is given.
 Each subcommand accepts only its own flags; any other flag is a usage
 error.
 
-Exit status: 0 success, 1 usage error, 2 input parse error,
+Exit status: 0 success, 1 usage error (an ``--output`` that cannot be
+opened included), 2 input error (unreadable, not UTF-8 or malformed),
 3 hypothesis violation, 4 verification failure.
 """
 
@@ -25,7 +26,7 @@ from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
 from .generators import FAMILIES, build_family, enumerate_connected
 from .graph import Graph, format_edge_list, read_edge_list
-from .indices import _randic_bounds, dd_mycielskian_closed, index_report
+from .indices import dd_mycielskian_closed, index_report, randic_bounds
 from .transform import mycielskian
 from .verify import CLAIM_IDS, _fmt, verify_corpus
 
@@ -56,16 +57,16 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             return build_family(args.family)
         except InvalidParameterError as exc:
             raise _UsageError(f"bad family spec {args.family!r}: {exc}") from exc
-    try:
-        return read_edge_list(args.input)
-    except OSError as exc:
-        raise EdgeListParseError(f"cannot read {args.input}: {exc}") from exc
+    return read_edge_list(args.input)
 
 
 def _open_output(args: argparse.Namespace) -> TextIO:
     if args.output is None:
         return sys.stdout
-    return open(args.output, "w", encoding="utf-8", newline="\n")
+    try:
+        return open(args.output, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.output}: {exc}") from exc
 
 
 def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
@@ -73,9 +74,7 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
     report = index_report(g)
     record: dict[str, object] = report.as_dict()
     if report.diameter == 2:
-        bounds = _randic_bounds(
-            report.n, report.m, report.randic, min(g.degrees), max(g.degrees)
-        )
+        bounds = randic_bounds(g, report.randic)
         record["degree_distance_mu"] = dd_mycielskian_closed(
             report.n, report.m, report.zagreb_m1, report.degree_distance
         )

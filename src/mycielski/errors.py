@@ -21,10 +21,6 @@ class TooSmallError(GraphError):
     """The Mycielskian is connected only when the graph has no isolated vertex."""
 
 
-class MatrixMismatchError(GraphError):
-    """A distance matrix does not belong to the graph it was paired with."""
-
-
 class NoEdgesError(GraphError):
     """A degree-based index is undefined on an edgeless graph."""
 
@@ -38,7 +34,7 @@ class DiameterNotTwoError(GraphError):
 
 
 class InvalidParameterError(GraphError):
-    """A generator parameter violates its family's minimum requirements."""
+    """A parameter is outside its domain: a family's minimums, a non-square matrix."""
 
 
 class TooLargeError(GraphError):
@@ -46,4 +42,4 @@ class TooLargeError(GraphError):
 
 
 class EdgeListParseError(GraphError):
-    """Malformed edge-list text."""
+    """Malformed edge-list text, or a file that cannot be read as UTF-8 text."""

@@ -137,8 +137,6 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
         seen = {0}
         queue = deque([0])
         while queue:
@@ -442,5 +440,10 @@ def format_edge_list(g: Graph, comment: str | None = None) -> str:
 
 
 def read_edge_list(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    """Parse the file at ``path``; one not readable as UTF-8 text raises EdgeListParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EdgeListParseError(f"cannot read {path}: {exc}") from exc
+    return parse_edge_list(text)

@@ -108,22 +108,18 @@ class RandicBounds:
     is_regular: bool
 
 
-def randic_bounds(g: Graph) -> RandicBounds:
+def randic_bounds(g: Graph, r: float | None = None) -> RandicBounds:
     """Bounds ``R(G)/2 + (sqrt(2) m + sqrt(n D)) / sqrt(D^2 + D)`` with D the
-    maximum degree (lower) or minimum degree (upper)."""
+    maximum degree (lower) or minimum degree (upper); ``r`` is R(G) for a
+    caller that already holds it."""
     if g.m == 0:
         raise NoEdgesError("Randic bounds need at least one edge")
-    return _randic_bounds(g.n, g.m, randic(g), min(g.degrees), max(g.degrees))
-
-
-def _randic_bounds(n: int, m: int, r: float, delta: int, big_delta: int) -> RandicBounds:
-    """``randic_bounds`` from the order, size, Randić index and degree extremes,
-    for callers that already hold R(G)."""
+    n, m, delta, big_delta = g.n, g.m, min(g.degrees), max(g.degrees)
     if delta == 0:
         # only reachable on disconnected inputs; the upper bound divides by
         # sqrt(delta^2 + delta)
         raise InvalidParameterError("bounds undefined at minimum degree 0")
-    half_r = r / 2.0
+    half_r = (randic(g) if r is None else r) / 2.0
     lower = half_r + (math.sqrt(2.0) * m + math.sqrt(n * big_delta)) / math.sqrt(
         big_delta * big_delta + big_delta
     )

@@ -5,9 +5,10 @@ vertices with a fixed index layout: originals keep their labels,
 shadow ``i`` sits at ``n+i``, and the root sits at ``2n``. The role of
 any vertex is therefore decidable by integer comparison alone.
 
-Observations 1 and 2 of the paper each have one whole-graph form here:
-``mu_degrees`` gives every degree of mu(G) from the degrees of G, and
-``mu_distance_matrix`` every distance of mu(G) from the distances of G.
+Observations 1 and 2 of the paper each have one whole-graph form here,
+which reads G's data and never a built mu(G): ``mu_degrees`` gives every
+degree of mu(G) from the degrees of G, and ``mu_distance_matrix`` every
+distance of mu(G) from the distance matrix of G.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MatrixMismatchError, TooSmallError
+from .errors import InvalidParameterError, TooSmallError
 from .graph import Graph
 
 __all__ = ["MycielskianLayout", "mycielskian", "mu_degrees", "mu_distance_matrix"]
@@ -58,21 +59,20 @@ def mycielskian(g: Graph) -> MycielskianLayout:
     return MycielskianLayout(base=g, mu=Graph(2 * n + 1, pairs))
 
 
-def mu_degrees(layout: MycielskianLayout) -> tuple[int, ...]:
-    """Degrees of the Mycielskian in layout order, from base degrees alone.
+def mu_degrees(g: Graph) -> tuple[int, ...]:
+    """Degrees of the Mycielskian of ``g`` in layout order, from its degrees alone.
 
     Original i has ``2 * deg(i)``, shadow i has ``1 + deg(i)`` and the
-    root has n.
+    root has n. This holds for every G, isolated vertices included.
     """
-    base = layout.base.degrees
-    return tuple(2 * k for k in base) + tuple(1 + k for k in base) + (layout.base.n,)
+    return tuple(2 * k for k in g.degrees) + tuple(1 + k for k in g.degrees) + (g.n,)
 
 
-def mu_distance_matrix(layout: MycielskianLayout, dg: np.ndarray) -> np.ndarray:
+def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
     """Full (2n+1)-square distance matrix of the Mycielskian, from base distances.
 
-    ``dg`` must be the all-pairs distance matrix of the base graph. Blocks
-    follow the case table (u, v in either order, u != v):
+    ``dg`` is the all-pairs distance matrix of a connected G of order n.
+    Blocks follow the case table (u, v in either order, u != v):
 
       root    - shadow            1
       root    - original          2
@@ -82,11 +82,15 @@ def mu_distance_matrix(layout: MycielskianLayout, dg: np.ndarray) -> np.ndarray:
       original- shadow, i != j    d(i, j) if d(i, j) <= 2 else 3
 
     The result agrees entrywise with BFS on the constructed Mycielskian
-    and is a read-only int64 array.
+    and is a read-only int64 array. A non-square ``dg`` raises
+    InvalidParameterError, and K1's ``[[0]]`` TooSmallError: mu(K1) has an
+    isolated vertex.
     """
-    n = layout.base.n
-    if dg.shape[0] != n:
-        raise MatrixMismatchError(f"distance matrix is {dg.shape}, base has n={n}")
+    if dg.ndim != 2 or dg.shape[0] != dg.shape[1]:
+        raise InvalidParameterError(f"distance matrix is {dg.shape}, not square")
+    n = dg.shape[0]
+    if n == 1:
+        raise TooSmallError("vertex 0 is isolated, so mu(G) is disconnected")
     size = 2 * n + 1
     d = np.full((size, size), 2, dtype=np.int64)  # root-original, shadow-shadow
     d[:n, :n] = np.minimum(dg, 4)

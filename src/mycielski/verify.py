@@ -147,12 +147,12 @@ def _context(
 
 
 def _check_obs1(g: Graph, layout: MycielskianLayout, dm):
-    by_formula, by_adjacency = mu_degrees(layout), layout.mu.degrees
+    by_formula, by_adjacency = mu_degrees(g), layout.mu.degrees
     return len(by_formula), by_formula == by_adjacency, list(by_adjacency), list(by_formula)
 
 
 def _check_obs2(g: Graph, layout: MycielskianLayout, dm: np.ndarray):
-    closed = mu_distance_matrix(layout, dm)
+    closed = mu_distance_matrix(dm)
     bfs = all_pairs_distances(layout.mu)
     if np.array_equal(closed, bfs):
         return closed.size, True, None, None

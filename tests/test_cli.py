@@ -277,6 +277,33 @@ class TestExitStatuses:
         bad.write_text("2 1\n1 1\n")
         assert run_process("compute", "--input", str(bad))[0] == 2
 
+    @pytest.mark.parametrize("command", ["compute", "mycielskian", "verify"])
+    def test_undecodable_input_is_an_input_error(self, command, tmp_path):
+        src = tmp_path / "bytes.txt"
+        src.write_bytes(b"\xff\xfe\x00garbage\n")
+        code, out, err = run_process(command, "--input", str(src))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"mycielski: input error: cannot read {src}: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("compute", "--family", "cycle:5"),
+            ("mycielskian", "--family", "cycle:5"),
+            ("verify", "--family", "cycle:5"),
+            ("enumerate", "--enumerate", "3"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_unopenable_output_is_a_usage_error(self, args, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_process(*args, "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mycielski: error: cannot write {target}: ")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not target.parent.exists()
+
     def test_hypothesis_violations(self, tmp_path):
         disconnected = tmp_path / "disc.txt"
         disconnected.write_text("4 2\n0 1\n2 3\n")

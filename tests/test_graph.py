@@ -34,6 +34,7 @@ from mycielski.graph import (
     diameter,
     format_edge_list,
     parse_edge_list,
+    read_edge_list,
 )
 from mycielski.transform import mycielskian
 
@@ -128,6 +129,11 @@ class TestConstruction:
     def test_empty_graph_rejected(self):
         with pytest.raises(InvalidParameterError):
             Graph(0)
+
+    def test_connectivity(self):
+        assert Graph(1).is_connected()
+        assert not Graph(2).is_connected()
+        assert not Graph(4, [(0, 1), (2, 3)]).is_connected()
 
     @given(connected_graphs())
     @settings(max_examples=60)
@@ -546,3 +552,11 @@ class TestEdgeListFormat:
     def test_malformed_rejected(self, text):
         with pytest.raises(EdgeListParseError):
             parse_edge_list(text)
+
+    def test_unreadable_file_rejected_with_its_path(self, tmp_path):
+        undecodable = tmp_path / "bytes.txt"
+        undecodable.write_bytes(b"\xff\xfe\x00garbage\n")
+        for target in (undecodable, tmp_path / "missing.txt", tmp_path):
+            with pytest.raises(EdgeListParseError) as exc:
+                read_edge_list(str(target))
+            assert str(exc.value).startswith(f"cannot read {target}: ")

@@ -9,7 +9,15 @@ from mycielski.errors import (
     InvalidParameterError,
     NoEdgesError,
 )
-from mycielski.generators import complete, cycle, path, petersen, star
+from mycielski.generators import (
+    build_family,
+    complete,
+    cycle,
+    enumerate_connected,
+    path,
+    petersen,
+    star,
+)
 from mycielski.graph import Graph, all_pairs_distances
 from mycielski.indices import (
     dd_mycielskian_closed,
@@ -199,6 +207,17 @@ class TestRandicBounds:
     def test_isolated_vertex_rejected(self):
         with pytest.raises(InvalidParameterError):
             randic_bounds(Graph(3, [(0, 1)]))
+
+    def test_given_randic_index_gives_identical_bounds(self):
+        graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+        specs = ["path:6", "cycle:7", "complete:5", "star:5", "kbipartite:3,4", "petersen",
+                 "gnp:300,0.3,7"]
+        graphs += [build_family(spec) for spec in specs]
+        for g in graphs:
+            given, computed = randic_bounds(g, randic(g)), randic_bounds(g)
+            assert given.lower == computed.lower  # exact: the same arithmetic
+            assert given.upper == computed.upper
+            assert given.is_regular == computed.is_regular
 
     @given(connected_graphs())
     @settings(max_examples=50)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mycielski.errors import MatrixMismatchError, TooSmallError
+from mycielski.errors import InvalidParameterError, TooSmallError
 from mycielski.generators import complete, cycle, path, petersen, star
 from mycielski.graph import Graph, all_pairs_distances, diameter
 from mycielski.transform import mu_degrees, mu_distance_matrix, mycielskian
@@ -27,6 +27,16 @@ def case_table(n, dg, u, v):
     if u == j:
         return 2
     return min(int(dg[u, j]), 3)
+
+
+def hand_built_mu(g):
+    """mu(G) built pair by pair from the definition, isolated vertices allowed."""
+    n = g.n
+    pairs = list(g.edges)
+    pairs += [(u, n + v) for u, v in g.edges] + [(v, n + u) for u, v in g.edges]
+    pairs += [(2 * n, n + j) for j in range(n)]
+    assert len(pairs) == 3 * g.m + n
+    return Graph(2 * n + 1, pairs)
 
 
 class TestConstruction:
@@ -77,29 +87,49 @@ class TestConstruction:
 class TestDegrees:
     def test_root_degree_is_n(self):
         layout = mycielskian(cycle(4))
-        assert mu_degrees(layout)[layout.root] == 4
+        assert mu_degrees(layout.base)[layout.root] == 4
 
     def test_shadow_degree(self):
         layout = mycielskian(cycle(4))
-        assert all(mu_degrees(layout)[layout.shadow(i)] == 3 for i in range(4))
+        assert all(mu_degrees(layout.base)[layout.shadow(i)] == 3 for i in range(4))
 
     def test_original_degree_doubles(self):
         layout = mycielskian(star(4))
-        assert mu_degrees(layout)[0] == 8
+        assert mu_degrees(layout.base)[0] == 8
 
     @given(connected_graphs())
     @settings(max_examples=50)
     def test_formula_matches_adjacency_count(self, g):
         layout = mycielskian(g)
-        assert mu_degrees(layout) == layout.mu.degrees
+        assert mu_degrees(g) == layout.mu.degrees
         assert sum(layout.mu.degrees) == 6 * g.m + 2 * g.n
+
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (Graph(3, [(0, 1)]), (2, 2, 0, 2, 2, 1, 3)),
+            (Graph(4), (0, 0, 0, 0, 1, 1, 1, 1, 4)),
+        ],
+        ids=["isolated-vertex", "edgeless"],
+    )
+    def test_formula_holds_with_isolated_vertices(self, g, expected):
+        # mycielskian refuses these graphs, so mu is built here by hand
+        assert hand_built_mu(g).degrees == expected
+        assert mu_degrees(g) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_formula_holds_for_every_graph(self, n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            assert mu_degrees(g) == hand_built_mu(g).degrees
 
 
 class TestDistances:
     def test_case_table_on_p5(self):
         g = path(5)
         layout = mycielskian(g)
-        d = mu_distance_matrix(layout, all_pairs_distances(g))
+        d = mu_distance_matrix(all_pairs_distances(g))
         root, shadow = layout.root, layout.shadow
         assert d[root, root] == 0
         assert d[root, shadow(2)] == 1
@@ -115,23 +145,30 @@ class TestDistances:
 
     def test_long_path_cap(self):
         g = path(6)
-        assert mu_distance_matrix(mycielskian(g), all_pairs_distances(g))[0, 5] == 4
+        assert mu_distance_matrix(all_pairs_distances(g))[0, 5] == 4
 
-    def test_matrix_mismatch(self):
-        with pytest.raises(MatrixMismatchError):
-            mu_distance_matrix(mycielskian(path(3)), all_pairs_distances(path(4)))
+    def test_malformed_matrix(self):
+        with pytest.raises(InvalidParameterError, match="not square"):
+            mu_distance_matrix(all_pairs_distances(path(4))[:3])
+        with pytest.raises(InvalidParameterError, match="not square"):
+            mu_distance_matrix(np.zeros(4, dtype=np.int64))
+
+    def test_k1_matrix_rejected(self):
+        # mu(K1) leaves original 0 isolated, so no finite matrix describes it
+        with pytest.raises(TooSmallError):
+            mu_distance_matrix(all_pairs_distances(Graph(1)))
 
     def test_k2_matrix_equals_bfs(self):
         g = complete(2)
         layout = mycielskian(g)
-        closed = mu_distance_matrix(layout, all_pairs_distances(g))
+        closed = mu_distance_matrix(all_pairs_distances(g))
         assert np.array_equal(closed, all_pairs_distances(layout.mu))
         assert closed.max() == 2
 
     def test_petersen_matrix_equals_bfs(self):
         g = petersen()
         layout = mycielskian(g)
-        closed = mu_distance_matrix(layout, all_pairs_distances(g))
+        closed = mu_distance_matrix(all_pairs_distances(g))
         assert np.array_equal(closed, all_pairs_distances(layout.mu))
 
     @given(connected_graphs())
@@ -139,7 +176,7 @@ class TestDistances:
     def test_matrix_equals_bfs_and_scalar(self, g):
         layout = mycielskian(g)
         dg = all_pairs_distances(g)
-        closed = mu_distance_matrix(layout, dg)
+        closed = mu_distance_matrix(dg)
         assert closed.dtype == np.int64 and not closed.flags.writeable
         assert np.array_equal(closed, all_pairs_distances(layout.mu))
         size = layout.mu.n

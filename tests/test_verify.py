@@ -182,15 +182,15 @@ class TestCorpus:
         assert timed["elapsed_ms"] > 0
 
 
-def _off_by_one_root_degree(layout):
-    degrees = list(mu_degrees(layout))
-    degrees[layout.root] += 1
+def _off_by_one_root_degree(g):
+    degrees = list(mu_degrees(g))
+    degrees[2 * g.n] += 1
     return tuple(degrees)
 
 
-def _off_by_one_root_distance(layout, dg):
-    d = mu_distance_matrix(layout, dg).copy()
-    d[0, layout.root] += 1
+def _off_by_one_root_distance(dg):
+    d = mu_distance_matrix(dg).copy()
+    d[0, 2 * len(dg)] += 1
     return d
 
 
