@@ -2,12 +2,16 @@
 
 Subcommands: ``compute`` (index report for one graph), ``mycielskian``
 (emit mu(G) as an edge list), ``verify`` (run claim checks over a
-corpus), ``enumerate`` (stream all labeled connected graphs of one
+corpus), ``enumerate`` (list all labeled connected graphs of one
 order). Output for a fixed command line is byte-identical across runs:
 ordering is fixed, floats carry 12 significant digits, seeds are
 explicit, and verify timings are zeroed unless ``--timings`` is given.
 Each subcommand accepts only its own flags; any other flag is a usage
 error.
+
+The report is written, to stdout or ``--output``, once the subcommand
+finishes with status 0 or 4; any other status leaves an existing
+``--output`` file as it was.
 
 Exit status: 0 success, 1 usage error (an ``--output`` that cannot be
 opened included), 2 input error (unreadable, not UTF-8 or malformed),
@@ -17,10 +21,9 @@ opened included), 2 input error (unreadable, not UTF-8 or malformed),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
@@ -60,16 +63,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return read_edge_list(args.input)
 
 
-def _open_output(args: argparse.Namespace) -> TextIO:
-    if args.output is None:
-        return sys.stdout
-    try:
-        return open(args.output, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise _UsageError(f"cannot write {args.output}: {exc}") from exc
-
-
-def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args)
     report = index_report(g)
     record: dict[str, object] = report.as_dict()
@@ -82,26 +76,23 @@ def _cmd_compute(args: argparse.Namespace, out: TextIO) -> int:
         record["randic_mu_upper"] = bounds.upper
         record["is_regular"] = bounds.is_regular
     if args.format == "json":
-        out.write(json.dumps(_fmt(record), indent=2) + "\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow(
-            _fmt_float(v) if isinstance(v, float)
-            else str(v).lower() if isinstance(v, bool)
-            else v
-            for v in record.values()
-        )
-    return EXIT_OK
+        return EXIT_OK, json.dumps(_fmt(record), indent=2) + "\n"
+    # identifier keys and int, float or bool values: no cell needs csv quoting
+    values = (
+        _fmt_float(v) if isinstance(v, float)
+        else str(v).lower() if isinstance(v, bool)
+        else str(v)
+        for v in record.values()
+    )
+    return EXIT_OK, ",".join(record) + "\n" + ",".join(values) + "\n"
 
 
-def _cmd_mycielskian(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_mycielskian(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args)
     layout = mycielskian(g)
     n = g.n
     comment = f"roles: original 0..{n - 1}, shadow {n}..{2 * n - 1}, root {2 * n}"
-    out.write(format_edge_list(layout.mu, comment))
-    return EXIT_OK
+    return EXIT_OK, format_edge_list(layout.mu, comment)
 
 
 def _enumerated(n: int) -> Iterator[Graph]:
@@ -135,7 +126,7 @@ def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
     return samples()
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if args.claims is None:
         claims = list(CLAIM_IDS)
     else:
@@ -148,18 +139,12 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     corpus = _corpus(args)
     outcomes = verify_corpus(claims, corpus, relax_diameter=args.relax_diameter)
     report = [o.as_dict(include_timing=args.timings) for o in outcomes]
-    out.write(json.dumps(report, indent=2) + "\n")
-    return EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
+    status = EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
+    return status, json.dumps(report, indent=2) + "\n"
 
 
-def _cmd_enumerate(args: argparse.Namespace, out: TextIO) -> int:
-    first = True
-    for g in _enumerated(args.enumerate):
-        if not first:
-            out.write("\n")
-        out.write(format_edge_list(g))
-        first = False
-    return EXIT_OK
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+    return EXIT_OK, "\n".join(map(format_edge_list, _enumerated(args.enumerate)))
 
 
 _SOURCES = {
@@ -206,12 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        out = _open_output(args)
-        try:
-            return args.handler(args, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        status, report = args.handler(args)
+        if args.output is None:
+            sys.stdout.write(report)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8", newline="\n") as out:
+                    out.write(report)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {args.output}: {exc}") from exc
+        return status
     except _UsageError as exc:
         print(f"mycielski: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -221,7 +210,3 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as exc:
         print(f"mycielski: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -142,9 +142,12 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
         raise InvalidParameterError(f"p must lie in (0, 1], got {p}")
     attempt = seed & _MASK64
     for _ in range(_MAX_ATTEMPTS):
-        g = Graph(n, _kept_pairs(n, p, attempt))
-        if g.is_connected():
-            return g
+        pairs = _kept_pairs(n, p, attempt)
+        # with n >= 2 an isolated vertex means disconnected: skip the Graph build
+        if np.bincount(pairs.ravel(), minlength=n).all():
+            g = Graph(n, pairs)
+            if g.is_connected():
+                return g
         attempt = (attempt + 1) & _MASK64
     raise InvalidParameterError(
         f"gnp(n={n}, p={p}, seed={seed}) drew no connected graph in "

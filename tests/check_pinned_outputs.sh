@@ -5,7 +5,10 @@
 # - the whole n=6 verification report against tests/expected/;
 # - the compute reports against tests/expected/. APSP runs in numpy word
 #   levels alone on the two gnp graphs and is handed off to the blocked
-#   kernel on cycle and path.
+#   kernel on cycle and path;
+# - two compute CSV reports against tests/expected/;
+# - the n=6 enumeration by its sha256, as it is too large to commit
+#   (995,257 bytes).
 # Run from the repository root:
 #   bash tests/check_pinned_outputs.sh
 set -euo pipefail
@@ -21,3 +24,9 @@ for spec in gnp:1000,0.02,7 gnp:300,0.3,7 cycle:1000 path:3000; do
   PYTHONPATH=src python3 -m mycielski compute --family "$spec" > "$out"
   diff -u "tests/expected/compute_${spec/:/_}.json" "$out"
 done
+for spec in gnp:300,0.3,7 petersen; do
+  PYTHONPATH=src python3 -m mycielski compute --format csv --family "$spec" > "$out"
+  diff -u "tests/expected/compute_${spec/:/_}.csv" "$out"
+done
+PYTHONPATH=src python3 -m mycielski enumerate --enumerate 6 > "$out"
+echo "841efc703e89dd0d18141ed90e99d31bef15d97c733f49582afb03c9b3cc3f1d  $out" | sha256sum -c --quiet

@@ -304,6 +304,33 @@ class TestExitStatuses:
         assert err.count("\n") == 1  # one line, no traceback
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "args,text,code",
+        [
+            (("compute", "--input"), "2 1\n1 1\n", 2),
+            (("mycielskian", "--input"), "3 1\n0 1\n", 3),
+            (("verify", "--claims", "nope", "--enumerate", "3"), None, 1),
+            (("enumerate", "--enumerate", "7"), None, 3),
+        ],
+        ids=["compute", "mycielskian", "verify", "enumerate"],
+    )
+    def test_failed_run_leaves_output_unchanged(self, args, text, code, tmp_path):
+        target = tmp_path / "keep.json"
+        target.write_bytes(b'{"kept": 1}\n')
+        if text is not None:
+            src = tmp_path / "g.txt"
+            src.write_text(text)
+            args = (*args, str(src))
+        assert run_cli(*args, "--output", str(target)) == (code, "")
+        assert target.read_bytes() == b'{"kept": 1}\n'
+
+    def test_output_may_overwrite_the_input(self, tmp_path):
+        target = tmp_path / "g.txt"
+        target.write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")  # C4
+        assert run_cli("mycielskian", "--input", str(target), "--output", str(target))[0] == 0
+        mu = parse_edge_list(target.read_text())
+        assert (mu.n, mu.m) == (9, 16)
+
     def test_hypothesis_violations(self, tmp_path):
         disconnected = tmp_path / "disc.txt"
         disconnected.write_text("4 2\n0 1\n2 3\n")
@@ -324,11 +351,13 @@ class TestExitStatuses:
         assert captured.out == ""
         assert "exact int64 limit" in captured.err
 
-    def test_verification_failure_is_4(self):
-        code, _, _ = run_process(
-            "verify", "--claims", "thm_dd", "--family", "path:6", "--relax-diameter"
-        )
+    def test_verification_failure_is_4(self, tmp_path):
+        args = ("verify", "--claims", "thm_dd", "--family", "path:6", "--relax-diameter")
+        code, out, _ = run_process(*args)
         assert code == 4
+        target = tmp_path / "report.json"  # the failing report is still written
+        assert run_cli(*args, "--output", str(target)) == (4, "")
+        assert target.read_bytes() == out.encode()
 
 
 class TestDeterminism:
