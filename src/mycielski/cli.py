@@ -14,7 +14,8 @@ finishes with status 0 or 4; any other status leaves an existing
 ``--output`` file as it was.
 
 Exit status: 0 success, 1 usage error (an ``--output`` that cannot be
-opened included), 2 input error (unreadable, not UTF-8 or malformed),
+opened included; a missing ``--output`` directory is found before any
+work), 2 input error (unreadable, not UTF-8 or malformed),
 3 hypothesis violation, 4 verification failure.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -61,6 +63,10 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         except InvalidParameterError as exc:
             raise _UsageError(f"bad family spec {args.family!r}: {exc}") from exc
     return read_edge_list(args.input)
+
+
+def _unwritable(path: str, exc: OSError) -> _UsageError:
+    return _UsageError(f"cannot write {path}: {exc}")
 
 
 def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
@@ -132,10 +138,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     else:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
         unknown = set(claims) - set(CLAIM_IDS)
-        if unknown:
-            raise _UsageError(
-                f"unknown claims {sorted(unknown)}; available: {', '.join(CLAIM_IDS)}"
-            )
+        if unknown or not claims:
+            what = f"unknown claims {sorted(unknown)}" if unknown else "no claims given"
+            raise _UsageError(f"{what}; available: {', '.join(CLAIM_IDS)}")
     corpus = _corpus(args)
     outcomes = verify_corpus(claims, corpus, relax_diameter=args.relax_diameter)
     report = [o.as_dict(include_timing=args.timings) for o in outcomes]
@@ -191,6 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.output is not None:
+            # a missing --output directory fails before any work, creating nothing
+            try:
+                os.stat(os.path.dirname(args.output.rstrip(os.sep)) or ".")
+            except OSError as exc:
+                err = OSError(exc.errno, exc.strerror, args.output)  # worded as open's error
+                raise _unwritable(args.output, err) from exc
         status, report = args.handler(args)
         if args.output is None:
             sys.stdout.write(report)
@@ -199,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.output, "w", encoding="utf-8", newline="\n") as out:
                     out.write(report)
             except OSError as exc:
-                raise _UsageError(f"cannot write {args.output}: {exc}") from exc
+                raise _unwritable(args.output, exc) from exc
         return status
     except _UsageError as exc:
         print(f"mycielski: error: {exc}", file=sys.stderr)

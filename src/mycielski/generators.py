@@ -214,29 +214,14 @@ def _connected_graphs(n: int) -> Iterator[Graph]:
     all_pairs = list(combinations(range(n), 2))
     full = (1 << n) - 1
     for mask in range(1 << len(all_pairs)):
-        adj_bits = [0] * n
-        pairs = []
-        k_mask = mask
-        k = 0
-        while k_mask:
-            if k_mask & 1:
-                u, v = all_pairs[k]
-                adj_bits[u] |= 1 << v
-                adj_bits[v] |= 1 << u
-                pairs.append((u, v))
-            k_mask >>= 1
-            k += 1
-        # bitmask BFS keeps the connectivity filter cheap across all 2^C(n,2) masks
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            v_bits = frontier
-            while v_bits:
-                low = v_bits & -v_bits
-                reach |= adj_bits[low.bit_length() - 1]
-                v_bits ^= low
-            frontier = reach & ~seen
-            seen |= frontier
+        pairs = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
+        # grow vertex 0's component by sweeping the pairs until a sweep adds nothing
+        seen, grown = 1, True
+        while grown:
+            grown = False
+            for u, v in pairs:
+                if (seen >> u ^ seen >> v) & 1:
+                    seen |= 1 << u | 1 << v
+                    grown = True
         if seen == full:
             yield Graph(n, pairs)

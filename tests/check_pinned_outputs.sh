@@ -8,7 +8,9 @@
 #   kernel on cycle and path;
 # - two compute CSV reports against tests/expected/;
 # - the n=6 enumeration by its sha256, as it is too large to commit
-#   (995,257 bytes).
+#   (995,257 bytes);
+# - the relaxed n=5 verification report, which must exit 4, by its sha256
+#   (128,126 bytes).
 # Run from the repository root:
 #   bash tests/check_pinned_outputs.sh
 set -euo pipefail
@@ -30,3 +32,7 @@ for spec in gnp:300,0.3,7 petersen; do
 done
 PYTHONPATH=src python3 -m mycielski enumerate --enumerate 6 > "$out"
 echo "841efc703e89dd0d18141ed90e99d31bef15d97c733f49582afb03c9b3cc3f1d  $out" | sha256sum -c --quiet
+status=0
+PYTHONPATH=src python3 -m mycielski verify --enumerate 5 --relax-diameter > "$out" || status=$?
+[ "$status" -eq 4 ]
+echo "f72099cf498addb1271172bb4b38656ee6769c25d51203f420f15a774d4dfa1a  $out" | sha256sum -c --quiet

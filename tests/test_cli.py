@@ -304,6 +304,22 @@ class TestExitStatuses:
         assert err.count("\n") == 1  # one line, no traceback
         assert not target.parent.exists()
 
+    def test_missing_output_directory_fails_before_the_run(self, monkeypatch, tmp_path):
+        def never(args):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setattr("mycielski.cli._cmd_verify", never)
+        target = tmp_path / "missing" / "x.json"
+        assert run_cli("verify", "--enumerate", "6", "--output", str(target)) == (1, "")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("claims", [",", ""], ids=["comma", "empty"])
+    def test_empty_claims_are_a_usage_error(self, claims):
+        code, out, err = run_process("verify", "--claims", claims, "--enumerate", "6")
+        assert (code, out) == (1, "")
+        assert err.startswith("mycielski: error: no claims given; available: ")
+        assert err.count("\n") == 1  # one line, no traceback
+
     @pytest.mark.parametrize(
         "args,text,code",
         [

@@ -1,8 +1,11 @@
 """Differential check against networkx, an oracle that shares no code with
-the package: its Mycielskian, Wiener index and Schultz index (which is the
-degree distance) on every connected graph of order 2 to 5 and four named
-graphs. Each test lists every graph that disagrees.
+the package: its connectivity test on every edge subset of order 2 to 5,
+and its Mycielskian, Wiener index and Schultz index (which is the degree
+distance) on every connected graph of order 2 to 5 and four named graphs.
+Each test lists every graph that disagrees.
 """
+
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -30,6 +33,19 @@ def corpus():
 def test_corpus_size(corpus):
     # connected labelled graphs of order 2..5 (OEIS A001187), then the named four
     assert len(corpus) == 1 + 4 + 38 + 728 + 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_enumeration_is_every_connected_subset_in_mask_order(n):
+    all_pairs = list(combinations(range(n), 2))
+    expected = []
+    for mask in range(1 << len(all_pairs)):
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(p for k, p in enumerate(all_pairs) if mask >> k & 1)
+        if nx.is_connected(h):
+            expected.append(tuple(sorted(h.edges)))
+    assert [g.edges for g in enumerate_connected(n)] == expected
 
 
 def test_mycielskian_edges(corpus):
