@@ -7,6 +7,7 @@ stream, so equal inputs give bit-identical edge sets on any platform.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Iterator
 
@@ -95,25 +96,33 @@ def _kept_pairs(n: int, p: float, state: int) -> np.ndarray:
 
     Returns them as one ``(m, 2)`` int64 array, in that order, for the
     array form of ``Graph``. splitmix64 is counter-based, so its k-th
-    output is the mix of ``state + k * gamma`` (mod 2^64), evaluated here a
-    chunk at a time on uint64 arrays. Every operand of the stream is
-    uint64, which wraps mod 2^64 the same way under numpy 1.x and NEP 50
-    promotion.
+    output is the mix of ``state + k * gamma`` (mod 2^64), evaluated here
+    in place, a chunk at a time, on uint64 arrays. Every operand of the
+    stream is uint64, which wraps mod 2^64 the same way under numpy 1.x and
+    NEP 50 promotion.
+
+    Pair k is kept when its draw's top 53 bits j satisfy
+    ``j < ceil(p * 2^53)`` in uint64, exactly the scalar stream's
+    ``j * 2^-53 < p``: scaling a double by 2^53 is exact, and an integer
+    lies below a real number exactly when it lies below its ceiling.
     """
     total = n * (n - 1) // 2
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # flat index of pair (u, u + 1)
     base = np.uint64(state)
+    threshold = np.uint64(math.ceil(p * 2**53))
     kept = []
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        z = base + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        z = np.arange(lo + 1, min(lo + _CHUNK, total) + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += base
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
         z ^= z >> np.uint64(31)
-        # z >> 11 < 2^53 converts to float64 exactly, as in the scalar stream
-        u01 = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        flat = np.flatnonzero(u01 < p) + lo
+        z >>= np.uint64(11)
+        flat = np.flatnonzero(z < threshold) + lo
         u = np.searchsorted(starts, flat, side="right") - 1
         kept.append(np.stack((u, flat - starts[u] + u + 1), axis=1))
     return np.concatenate(kept)
@@ -123,18 +132,20 @@ def erdos_renyi_connected(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p) conditioned on connectivity.
 
     Each of the C(n, 2) pairs is kept with probability ``p``, drawing one
-    splitmix64 value per pair in lexicographic pair order (the top 53 bits
-    become a uniform double). Disconnected samples are discarded and the
-    whole graph is redrawn from ``seed + 1``, ``seed + 2``, and so on, so
-    the result is a pure function of ``(n, p, seed)``.
+    splitmix64 value per pair in lexicographic pair order. The pair is kept
+    when the draw's top 53 bits, an integer j, satisfy
+    ``j < ceil(p * 2^53)``, which is exactly ``j * 2^-53 < p`` for the
+    uniform double ``j * 2^-53``. Disconnected samples are discarded and
+    the whole graph is redrawn from ``seed + 1``, ``seed + 2``, and so on,
+    so the result is a pure function of ``(n, p, seed)``.
 
     splitmix64 is counter-based, so the stream is evaluated as numpy
-    uint64 arithmetic in chunks of ``_CHUNK`` draws: extra memory is
-    O(chunk) rather than O(n^2), and the edges are bit-identical to the
-    scalar one-draw-at-a-time loop. After ``_MAX_ATTEMPTS`` disconnected
-    samples InvalidParameterError is raised (CLI exit 1), so a p far
-    below the connectivity threshold fails fast instead of redrawing
-    forever.
+    uint64 arithmetic in chunks of ``_CHUNK`` draws, with no float
+    conversion: extra memory is O(chunk) rather than O(n^2), and the edges
+    are bit-identical to the scalar one-draw-at-a-time loop. After
+    ``_MAX_ATTEMPTS`` disconnected samples InvalidParameterError is raised
+    (CLI exit 1), so a p far below the connectivity threshold fails fast
+    instead of redrawing forever.
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")

@@ -26,7 +26,6 @@ thm_dd) run it on the explicitly built Mycielskian.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain
 from typing import Iterable
 
@@ -105,6 +104,12 @@ class Graph:
         ends under one stable argsort. Any other integer array, with bad,
         reversed, repeated or unsorted rows, is left to the iterable form,
         which canonicalises it and raises its errors.
+
+        ``edges`` is built first, as a tuple of a list of known length, for
+        the cyclic GC: a growing ``tuple(zip(...))`` is re-tracked each time
+        it resizes, and every young-generation collection that the new edge
+        tuples set off would also walk the neighbour list and the n
+        frozensets, had they been built before it.
         """
         if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
             raise InvalidParameterError(
@@ -119,6 +124,7 @@ class Graph:
             and ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all()
         ):
             return False
+        self.edges = tuple([*zip(u.tolist(), v.tolist())])
         tail = np.concatenate((u, v))
         head = np.concatenate((v, u))[np.argsort(tail, kind="stable")].tolist()
         deg = np.bincount(tail, minlength=n)
@@ -128,7 +134,6 @@ class Graph:
         self.adjacency = tuple(
             frozenset(head[end - k : end]) for end, k in zip(ends, degrees)
         )
-        self.edges = tuple(zip(u.tolist(), v.tolist()))
         self.degrees = tuple(degrees)
         return True
 
@@ -137,14 +142,13 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
+        adjacency = self.adjacency
         seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        stack = [0]
+        while stack:
+            new = adjacency[stack.pop()] - seen
+            seen |= new
+            stack += new
         return len(seen) == self.n
 
     def __eq__(self, other: object) -> bool:

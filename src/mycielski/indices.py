@@ -61,9 +61,10 @@ def randic(g: Graph) -> float:
     """Sum over edges of ``1 / sqrt(deg(u) * deg(v))``."""
     if g.m == 0:
         raise NoEdgesError("Randic index needs at least one edge")
-    total = 0.0
+    degrees, sqrt = g.degrees, math.sqrt
+    total = 0.0  # left to right: sum() compensates on Python >= 3.12
     for u, v in g.edges:
-        total += 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
+        total += 1.0 / sqrt(degrees[u] * degrees[v])
     return total
 
 

@@ -9,6 +9,10 @@
 # - two compute CSV reports against tests/expected/;
 # - the n=6 enumeration by its sha256, as it is too large to commit
 #   (995,257 bytes);
+# - the Mycielskians of the two benchmark gnp graphs by their sha256
+#   (308,386 and 263,422 bytes). Each edge list holds every edge of G in
+#   order, so these pin the gnp draws and the array build of Graph byte for
+#   byte;
 # - the relaxed n=5 verification report, which must exit 4, by its sha256
 #   (128,126 bytes).
 # Run from the repository root:
@@ -32,6 +36,10 @@ for spec in gnp:300,0.3,7 petersen; do
 done
 PYTHONPATH=src python3 -m mycielski enumerate --enumerate 6 > "$out"
 echo "841efc703e89dd0d18141ed90e99d31bef15d97c733f49582afb03c9b3cc3f1d  $out" | sha256sum -c --quiet
+PYTHONPATH=src python3 -m mycielski mycielskian --family gnp:300,0.3,7 > "$out"
+echo "026bcea884dfe24a85ab64c72055f3edb2fddc353aad97ccdc4a20cfed79dc10  $out" | sha256sum -c --quiet
+PYTHONPATH=src python3 -m mycielski mycielskian --family gnp:1000,0.02,7 > "$out"
+echo "8cfc7a95109fedcf5f54e5a15bf8d5442c6bc1e5d1aadd52e684d7f5eec8b91f  $out" | sha256sum -c --quiet
 status=0
 PYTHONPATH=src python3 -m mycielski verify --enumerate 5 --relax-diameter > "$out" || status=$?
 [ "$status" -eq 4 ]

@@ -1,11 +1,12 @@
 import ast
+import math
 import re
 import subprocess
 import sys
 import time
 import warnings
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from mycielski.generators import (
 )
 from mycielski.graph import diameter
 
-from conftest import scalar_gnp, scalar_pairs
+from conftest import scalar_gnp, scalar_pairs, splitmix64
 
 # gnp(12, 0.4, 42), frozen at first build; the generator must reproduce it
 # bit-identically forever
@@ -238,6 +239,27 @@ class TestScalarStreamEquivalence:
                 assert [tuple(r) for r in kept.tolist()] == scalar_pairs(n, p, seed)
             assert erdos_renyi_connected(12, 0.4, 42).edges == GNP_12_04_42
             assert erdos_renyi_connected(30, 0.1, 3) == scalar_gnp(30, 0.1, 3)
+
+    @pytest.mark.parametrize("chunk", [1, 7, generators._CHUNK])
+    def test_threshold_boundary(self, chunk, monkeypatch):
+        # p = j * 2^-53 for the smallest draw j of the stream drops its pair,
+        # and the next double toward 1 keeps it; below 1/2 that double times
+        # 2^53 is no integer, so ceil and floor of it differ
+        n, state = 12, 42
+        pairs = list(combinations(range(n), 2))
+        draws = [z >> 11 for z in islice(splitmix64(state), len(pairs))]
+        k = draws.index(min(draws))
+        at = math.ldexp(draws[k], -53)
+        above = math.nextafter(at, 1.0)
+        monkeypatch.setattr(generators, "_CHUNK", chunk)
+        kept = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (at, above, 1.0, 2.0**-53, 5e-324):
+                kept[p] = [tuple(r) for r in generators._kept_pairs(n, p, state).tolist()]
+                assert kept[p] == scalar_pairs(n, p, state)
+        assert (kept[at], kept[above]) == ([], [pairs[k]])
+        assert kept[1.0] == pairs
 
 
 class TestRedrawCap:

@@ -12,6 +12,7 @@ from mycielski.errors import (
 from mycielski.generators import (
     build_family,
     complete,
+    complete_bipartite,
     cycle,
     enumerate_connected,
     path,
@@ -81,6 +82,21 @@ class TestRandic:
     def test_deterministic_accumulation(self):
         g = cycle(9)
         assert randic(g) == randic(g)
+
+    def test_bits_equal_the_reference_loop(self):
+        # the edge loop as first written; randic may bind names locally but
+        # must add the same terms in the same order, never by sum()
+        def reference(g):
+            total = 0.0
+            for u, v in g.edges:
+                total += 1.0 / math.sqrt(g.degrees[u] * g.degrees[v])
+            return total
+
+        graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+        graphs += [path(7), cycle(9), complete(6), star(5), complete_bipartite(3, 4), petersen()]
+        graphs += [build_family("gnp:300,0.3,7"), build_family("gnp:1000,0.02,7")]
+        wrong = [g for g in graphs if randic(g).hex() != reference(g).hex()]
+        assert (len(graphs), wrong) == (771 + 6 + 2, [])
 
 
 class TestDegreeDistance:

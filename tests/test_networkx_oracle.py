@@ -1,19 +1,36 @@
 """Differential check against networkx, an oracle that shares no code with
-the package: its connectivity test on every edge subset of order 2 to 5,
-and its Mycielskian, Wiener index and Schultz index (which is the degree
-distance) on every connected graph of order 2 to 5 and four named graphs.
+the package: its connectivity test on every edge subset of order 1 to 5
+(against the enumeration and ``Graph.is_connected``) and on the benchmark
+gnp graphs, and its Mycielskian, Wiener index and Schultz index (which is
+the degree distance) on every connected graph of order 2 to 5 and four
+named graphs.
 Each test lists every graph that disagrees.
 """
 
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from mycielski.generators import complete_bipartite, cycle, enumerate_connected, petersen, star
-from mycielski.graph import diameter
+from mycielski.generators import (
+    build_family,
+    complete_bipartite,
+    cycle,
+    enumerate_connected,
+    petersen,
+    star,
+)
+from mycielski.graph import Graph, diameter
 from mycielski.indices import dd_mycielskian_closed, degree_distance, first_zagreb, wiener
 from mycielski.transform import mycielskian
+
+
+def nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +40,7 @@ def corpus():
     graphs += [cycle(5), petersen(), complete_bipartite(2, 3), star(6)]
     rows = []
     for g in graphs:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
+        h = nx_graph(g)
         rows.append((g, mycielskian(g).mu, h, nx.mycielskian(h)))
     return rows
 
@@ -46,6 +61,27 @@ def test_enumeration_is_every_connected_subset_in_mask_order(n):
         if nx.is_connected(h):
             expected.append(tuple(sorted(h.edges)))
     assert [g.edges for g in enumerate_connected(n)] == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_is_connected_on_every_edge_subset(n):
+    # isolated vertices included: 2^10 subsets at n = 5
+    all_pairs = list(combinations(range(n), 2))
+    graphs = [
+        Graph(n, [p for k, p in enumerate(all_pairs) if mask >> k & 1])
+        for mask in range(1 << len(all_pairs))
+    ]
+    wrong = [g for g in graphs if g.is_connected() != nx.is_connected(nx_graph(g))]
+    assert (len(graphs), wrong) == (1 << len(all_pairs), [])
+
+
+def test_is_connected_on_benchmark_gnp_graphs():
+    a, b = build_family("gnp:300,0.3,7"), build_family("gnp:1000,0.02,7")
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges]
+    union = Graph(a.n + b.n, np.array(a.edges + tuple(shifted)))
+    assert union.m == a.m + b.m
+    verdicts = [(g.is_connected(), nx.is_connected(nx_graph(g))) for g in (a, b, union)]
+    assert verdicts == [(True, True), (True, True), (False, False)]
 
 
 def test_mycielskian_edges(corpus):
