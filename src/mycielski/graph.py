@@ -4,11 +4,11 @@ Vertices are dense 0-based integers. Graphs are immutable after
 construction and all operations here are pure functions, so shared
 instances are safe to use concurrently.
 
-A ``Graph`` is built from an iterable of ``(u, v)`` pairs, the reference
-form, which stays because it is the faster one for the many small graphs
-of exhaustive verification, or from a numpy ``(m, 2)`` integer array such
-as ``gnp``'s, built in numpy when already in canonical order. Both give
-equal graphs of Python ints and the same errors.
+A ``Graph`` is built from an iterable of ``(u, v)`` pairs or from a numpy
+``(m, 2)`` integer array such as ``gnp``'s. Either input is reduced to the
+canonical edge list (an array already in canonical order with no sort),
+and one loop over that list builds the sorted neighbour tuples, so both
+give equal graphs of Python ints and the same errors.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
 from every source at once, in up to three forms. Up to ``_WORD_MAX_N``
@@ -54,18 +54,20 @@ class Graph:
 
     Edge input order and duplicates are normalised away: ``edges`` is a
     lexicographically sorted tuple of ``(u, v)`` pairs with ``u < v``,
-    which gives every graph one canonical encoding.
+    which gives every graph one canonical encoding. ``adjacency[v]`` is the
+    strictly increasing tuple of v's neighbours and ``degrees[v]`` its
+    length.
 
     ``pairs`` comes in two forms that build equal graphs, attribute for
     attribute and all of Python ints:
 
-    - any iterable of ``(u, v)`` pairs, checked and collected one pair at a
-      time into neighbour sets. This is the reference form, and the faster
-      one for the small graphs of exhaustive verification;
+    - any iterable of ``(u, v)`` pairs, checked one pair at a time and
+      canonicalised by one sort;
     - a numpy integer array of shape ``(m, 2)``, as the large ``gnp``
-      graphs use, built in numpy when its rows are already canonical
-      (``_from_array``) and as a list otherwise. Any other array (float,
-      bool, another shape) raises InvalidParameterError.
+      graphs use, taken as the edge list with no sort when its rows are
+      already canonical (``_canonical_rows``) and as a list of pairs
+      otherwise. Any other array (float, bool, another shape) raises
+      InvalidParameterError.
 
     Either form raises SelfLoopError or VertexOutOfRangeError, with the
     same message, for the first bad pair in input order.
@@ -76,66 +78,29 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] | np.ndarray = ()):
         if n < 1:
             raise InvalidParameterError("a graph needs at least one vertex")
+        edges: list[tuple[int, int]] | None = None
         if isinstance(pairs, np.ndarray):
-            if self._from_array(n, pairs):
-                return
-            pairs = pairs.tolist()
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for u, v in pairs:
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
+            edges = _canonical_rows(n, pairs)
+            if edges is None:
+                pairs = pairs.tolist()  # Python ints, so no numpy scalar reaches edges
+        if edges is None:
+            seen: set[tuple[int, int]] = set()
+            for u, v in pairs:
+                if u == v:
+                    raise SelfLoopError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+                seen.add((u, v) if u < v else (v, u))
+            edges = sorted(seen)
+        # in canonical edge order every neighbour list fills in increasing order
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
         self.n = n
-        self.adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, neighbors))
-        self.edges: tuple[tuple[int, int], ...] = tuple(
-            [(u, v) for u, s in enumerate(neighbors) for v in sorted(s) if u < v]
-        )
+        self.edges: tuple[tuple[int, int], ...] = tuple(edges)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, neighbors))
         self.degrees: tuple[int, ...] = tuple(map(len, neighbors))
-
-    def _from_array(self, n: int, pairs: np.ndarray) -> bool:
-        """The array form of ``__init__``: the same attributes, built in numpy.
-
-        Builds only canonical input, rows ``(u, v)`` with ``0 <= u < v < n``
-        in strictly increasing order, as ``gnp`` hands over, and returns
-        whether it did. Each vertex's neighbours are one slice of the edge
-        ends under one stable argsort. Any other integer array, with bad,
-        reversed, repeated or unsorted rows, is left to the iterable form,
-        which canonicalises it and raises its errors.
-
-        ``edges`` is built first, as a tuple of a list of known length, for
-        the cyclic GC: a growing ``tuple(zip(...))`` is re-tracked each time
-        it resizes, and every young-generation collection that the new edge
-        tuples set off would also walk the neighbour list and the n
-        frozensets, had they been built before it.
-        """
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
-            raise InvalidParameterError(
-                f"an edge array must be integer of shape (m, 2), got {pairs.dtype} {pairs.shape}"
-            )
-        # uint64 ids of 2^63 and above wrap to negative and so fail the check
-        u, v = pairs.astype(np.int64, copy=False).T
-        if not (
-            (u >= 0).all()
-            and (u < v).all()
-            and (v < n).all()
-            and ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all()
-        ):
-            return False
-        self.edges = tuple([*zip(u.tolist(), v.tolist())])
-        tail = np.concatenate((u, v))
-        head = np.concatenate((v, u))[np.argsort(tail, kind="stable")].tolist()
-        deg = np.bincount(tail, minlength=n)
-        ends = np.cumsum(deg).tolist()
-        degrees = deg.tolist()
-        self.n = n
-        self.adjacency = tuple(
-            frozenset(head[end - k : end]) for end, k in zip(ends, degrees)
-        )
-        self.degrees = tuple(degrees)
-        return True
 
     @property
     def m(self) -> int:
@@ -143,13 +108,15 @@ class Graph:
 
     def is_connected(self) -> bool:
         adjacency = self.adjacency
-        seen = {0}
+        seen = bytearray(self.n)
+        seen[0] = 1
         stack = [0]
         while stack:
-            new = adjacency[stack.pop()] - seen
-            seen |= new
-            stack += new
-        return len(seen) == self.n
+            for v in adjacency[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = 1
+                    stack.append(v)
+        return 0 not in seen
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -161,6 +128,32 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _canonical_rows(n: int, pairs: np.ndarray) -> list[tuple[int, int]] | None:
+    """The rows of an edge array as Python int pairs, if already canonical.
+
+    Canonical rows are ``(u, v)`` with ``0 <= u < v < n`` in strictly
+    increasing order, as ``gnp`` hands over; any other integer array, with
+    bad, reversed, repeated or unsorted rows, gives None and is left to the
+    pair-by-pair form, which canonicalises it and raises its errors. An
+    array that is not integer of shape ``(m, 2)`` raises
+    InvalidParameterError.
+    """
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or not np.issubdtype(pairs.dtype, np.integer):
+        raise InvalidParameterError(
+            f"an edge array must be integer of shape (m, 2), got {pairs.dtype} {pairs.shape}"
+        )
+    # uint64 ids of 2^63 and above wrap to negative and so fail the check
+    u, v = pairs.astype(np.int64, copy=False).T
+    if not (
+        (u >= 0).all()
+        and (u < v).all()
+        and (v < n).all()
+        and ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all()
+    ):
+        return None
+    return list(zip(u.tolist(), v.tolist()))
 
 
 # Every distance sum in the package is accumulated in int64 from this
@@ -210,13 +203,13 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
       level; all levels are read in one ``unpackbits`` at the end.
     - Above it a row is ``ceil(n/64)`` uint64 words of an ``(n, ceil(n/64))``
       array, a level is one gather of the neighbours' rows and one
-      ``bitwise_or.reduceat`` over the sets of ``g.adjacency`` laid end to
-      end (in set order, which no form depends on), and each level's
-      missing bits are added into a level count. A level costs 2m ceil(n/64) word
-      operations plus n^2 for reading the bits, so these levels run only
-      while their total stays within n (n + 2m), one sparse BFS from every
-      source (``_word_level_budget``). On a small-diameter graph that is
-      every level.
+      ``bitwise_or.reduceat`` over the neighbour tuples of ``g.adjacency``
+      laid end to end, and each level's missing bits are added into a
+      level count. A level costs 2m ceil(n/64) word operations plus n^2
+      for reading the bits, so these levels run only while their total
+      stays within n (n + 2m), one sparse BFS from every source
+      (``_word_level_budget``). On a small-diameter graph that is every
+      level.
     - Rows still incomplete after that go on in the blocked kernel, 128
       source rows at a time, from the last word level k: the frontier is
       the pairs at distance k and the next level is k + 1 (with no word

@@ -11,8 +11,8 @@
 #   (995,257 bytes);
 # - the Mycielskians of the two benchmark gnp graphs by their sha256
 #   (308,386 and 263,422 bytes). Each edge list holds every edge of G in
-#   order, so these pin the gnp draws and the array build of Graph byte for
-#   byte;
+#   order, so these pin the gnp draws and the Graph built from their edge
+#   array byte for byte;
 # - the relaxed n=5 verification report, which must exit 4, by its sha256
 #   (128,126 bytes).
 # Run from the repository root:

@@ -27,6 +27,7 @@ from mycielski.graph import (
     _EXACT_ORDER_LIMIT,
     _WORD_MAX_N,
     Graph,
+    _canonical_rows,
     _numpy_word_levels,
     _word_distances,
     _word_level_budget,
@@ -151,8 +152,10 @@ def assert_forms_agree(n, pairs, dtype=np.int64):
     assert type(got.n) is int
     assert all(type(x) is int for e in got.edges for x in e)
     assert all(type(x) is int for x in got.degrees)
-    assert all(type(s) is frozenset for s in got.adjacency)
-    assert all(type(x) is int for s in got.adjacency for x in s)
+    assert all(
+        type(s) is tuple and all(type(x) is int for x in s) and list(s) == sorted(set(s))
+        for s in got.adjacency
+    )
 
 
 def array_error(n, pairs, dtype=np.int64):
@@ -192,7 +195,8 @@ class TestArrayForm:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_gnp_draws(self, n, p, seed):
         kept = generators._kept_pairs(n, p, seed)
-        assert Graph.__new__(Graph)._from_array(n, kept)  # built in numpy
+        assert _canonical_rows(n, kept) == [tuple(r) for r in kept.tolist()]  # taken as is
+        assert _canonical_rows(n, kept[::-1]) is None  # left to the pair-by-pair form
         assert_forms_agree(n, [tuple(r) for r in kept.tolist()])
         g = erdos_renyi_connected(n, p, seed)
         assert_forms_agree(n, list(g.edges))

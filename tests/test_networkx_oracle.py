@@ -1,7 +1,8 @@
 """Differential check against networkx, an oracle that shares no code with
 the package: its connectivity test on every edge subset of order 1 to 5
 (against the enumeration and ``Graph.is_connected``) and on the benchmark
-gnp graphs, and its Mycielskian, Wiener index and Schultz index (which is
+gnp graphs, its sorted neighbour lists on those gnp graphs and on G and
+mu(G) below, and its Mycielskian, Wiener index and Schultz index (which is
 the degree distance) on every connected graph of order 2 to 5 and four
 named graphs.
 Each test lists every graph that disagrees.
@@ -31,6 +32,10 @@ def nx_graph(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def nx_adjacency(h):
+    return tuple(tuple(sorted(h.adj[v])) for v in range(len(h)))
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +87,16 @@ def test_is_connected_on_benchmark_gnp_graphs():
     assert union.m == a.m + b.m
     verdicts = [(g.is_connected(), nx.is_connected(nx_graph(g))) for g in (a, b, union)]
     assert verdicts == [(True, True), (True, True), (False, False)]
+    assert [g.adjacency == nx_adjacency(nx_graph(g)) for g in (a, b, union)] == [True] * 3
+
+
+def test_adjacency(corpus):
+    wrong = [
+        g
+        for g, mu, h, nx_mu in corpus
+        if (g.adjacency, mu.adjacency) != (nx_adjacency(h), nx_adjacency(nx_mu))
+    ]
+    assert wrong == []
 
 
 def test_mycielskian_edges(corpus):

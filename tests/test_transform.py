@@ -80,7 +80,7 @@ class TestConstruction:
         assert all(
             n + j not in mu.adjacency[n + i] for i in range(n) for j in range(i + 1, n)
         )
-        assert mu.adjacency[layout.root] == frozenset(range(n, 2 * n))
+        assert mu.adjacency[layout.root] == tuple(range(n, 2 * n))
         assert layout.base == g
 
 
