@@ -70,7 +70,9 @@ class Graph:
       InvalidParameterError.
 
     Either form raises SelfLoopError or VertexOutOfRangeError, with the
-    same message, for the first bad pair in input order.
+    same message, for the first bad pair in input order; the pair-by-pair
+    form raises InvalidParameterError for a bool or non-integer vertex id
+    and stores numpy integer ids as Python ints.
     """
 
     __slots__ = ("n", "edges", "adjacency", "degrees")
@@ -86,11 +88,20 @@ class Graph:
         if edges is None:
             seen: set[tuple[int, int]] = set()
             for u, v in pairs:
-                if u == v:
+                if not (type(u) is int is type(v)):
+                    u, v = _vertex_ids(u, v)
+                # one order test picks the end to range-check, so a valid pair
+                # costs 3-4 comparisons besides the type test
+                if u < v:
+                    if u < 0 or v >= n:
+                        raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+                    seen.add((u, v))
+                elif v < u:
+                    if v < 0 or u >= n:
+                        raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+                    seen.add((v, u))
+                else:
                     raise SelfLoopError(f"self-loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-                seen.add((u, v) if u < v else (v, u))
             edges = sorted(seen)
         # in canonical edge order every neighbour list fills in increasing order
         neighbors: list[list[int]] = [[] for _ in range(n)]
@@ -128,6 +139,14 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _vertex_ids(u, v) -> tuple[int, int]:
+    """A pair's vertex ids as Python ints: numpy integers are converted, and
+    bools and non-integers raise InvalidParameterError."""
+    if all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (u, v)):
+        return int(u), int(v)
+    raise InvalidParameterError(f"edge ({u!r}, {v!r}) has a vertex id that is not an integer")
 
 
 def _canonical_rows(n: int, pairs: np.ndarray) -> list[tuple[int, int]] | None:

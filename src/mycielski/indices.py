@@ -73,15 +73,19 @@ def degree_distance(g: Graph) -> int:
     return _degree_distance(g, all_pairs_distances(g))
 
 
+def _distance2_degree_sum(g: Graph, d: np.ndarray) -> int:
+    """Pair sum over d(u, v) == 2 of (deg u + deg v), regrouped by the symmetric rows of d."""
+    deg = np.asarray(g.degrees, dtype=np.int64)
+    return int(deg @ (d == 2).sum(axis=1, dtype=np.int64))
+
+
 def distance2_degree_sum(g: Graph) -> int:
     """Sum of endpoint degrees over unordered pairs at distance exactly 2.
 
     On diameter-2 graphs this equals ``2(n-1)m - M1``: a vertex of degree d
-    has exactly ``n - 1 - d`` vertices at distance two. The pair sum is
-    regrouped by the symmetric rows of the distance matrix.
+    has exactly ``n - 1 - d`` vertices at distance two.
     """
-    deg = np.asarray(g.degrees, dtype=np.int64)
-    return int(deg @ (all_pairs_distances(g) == 2).sum(axis=1, dtype=np.int64))
+    return _distance2_degree_sum(g, all_pairs_distances(g))
 
 
 def dd_mycielskian_closed(n: int, m: int, m1: int, dd: int) -> int:

@@ -13,6 +13,15 @@ Mycielskian mu:
 Failures carry the full edge list, so any report line can be replayed
 on its own. Corpus runs skip graphs that fall outside a claim's
 hypothesis and report the skip count instead of erroring.
+
+The claims share per-graph values, each computed at most once and only if
+a requested claim needs it: mu(G), the BFS distances of G and of the
+built mu, R(mu) and the Randić bounds of G. With every claim, a graph
+costs one Mycielskian build, one BFS on G and one BFS on mu. The oracles
+are still BFS on the explicitly built mu and brute-force sums; the closed
+forms read only G's data. A shared value is computed, and timed, in the
+first claim that needs it: with every claim, obs1 builds mu, obs2 runs
+both BFS and thm_dd reads their distances.
 """
 
 from __future__ import annotations
@@ -32,14 +41,14 @@ from .errors import (
 )
 from .graph import Graph, all_pairs_distances
 from .indices import (
+    _degree_distance,
+    _distance2_degree_sum,
     dd_mycielskian_closed,
-    degree_distance,
-    distance2_degree_sum,
     first_zagreb,
     randic,
     randic_bounds,
 )
-from .transform import MycielskianLayout, mu_degrees, mu_distance_matrix, mycielskian
+from .transform import mu_degrees, mu_distance_matrix, mycielskian
 
 __all__ = [
     "CLAIM_IDS",
@@ -109,51 +118,69 @@ class VerificationOutcome:
         }
 
 
-def _context(
-    g: Graph, relax_diameter: bool
-) -> tuple[MycielskianLayout | None, np.ndarray | None, dict[str, GraphError | None]]:
-    """What the claims share about one graph, each computed once.
+class _Shared(dict):
+    """What the claims share about one graph, each value computed at most once.
 
-    Returns mu(G) (None if G has an isolated vertex), the distances of G
-    (None if G is disconnected) and, per hypothesis, None if it holds or
-    else the error that a single graph outside it raises.
+    ``shared[key]`` computes its value by ``_COMPUTE[key]`` on first use and
+    keeps it, so a run computes only what its requested claims need, in the
+    first claim that needs it.
     """
-    layout = None if 0 in g.degrees else mycielskian(g)
-    dm = all_pairs_distances(g) if g.is_connected() else None
-    isolated = disconnected = not_two = irregular = None
-    if layout is None:
-        isolated = TooSmallError("an isolated vertex makes mu(G) disconnected")
-    if dm is None:
-        disconnected = DisconnectedError("the claim needs a connected graph")
-    elif (diameter := int(dm.max())) != 2:
-        not_two = DiameterNotTwoError(diameter)
-    if min(g.degrees) != max(g.degrees):
-        irregular = InvalidParameterError("the claim needs a regular graph")
-    connected = disconnected or isolated
-    diameter_two = disconnected or not_two
-    violations = {
-        "no_isolated": isolated,
-        "connected": connected,
-        "diameter_two": diameter_two,
-        "diameter_two_or_relaxed": connected if relax_diameter else diameter_two,
-        "regular": isolated or irregular,
-    }
-    return layout, dm, violations
+
+    __slots__ = ("g", "relax_diameter")
+
+    def __init__(self, g: Graph, relax_diameter: bool):
+        super().__init__()
+        self.g, self.relax_diameter = g, relax_diameter
+
+    def __missing__(self, key: str):
+        value = self[key] = _COMPUTE[key](self.g, self)
+        return value
 
 
-# Every check takes (g, layout, dm) and returns its number of comparisons,
+def _not_two(g: Graph, shared: _Shared) -> GraphError | None:
+    diameter = int(shared["dg"].max())
+    return None if diameter == 2 else DiameterNotTwoError(diameter)
+
+
+# mu is the built Mycielskian and dg and dmu the BFS distances of G and of
+# mu. Each hypothesis maps to None if it holds or else to the error that a
+# single graph outside it raises.
+_COMPUTE = {
+    "mu": lambda g, s: mycielskian(g).mu,
+    "dg": lambda g, s: all_pairs_distances(g),
+    "dmu": lambda g, s: all_pairs_distances(s["mu"]),
+    "r_mu": lambda g, s: randic(s["mu"]),
+    "bounds": lambda g, s: randic_bounds(g),
+    "no_isolated": lambda g, s: (
+        TooSmallError("an isolated vertex makes mu(G) disconnected") if 0 in g.degrees else None
+    ),
+    "g_connected": lambda g, s: (
+        None if g.is_connected() else DisconnectedError("the claim needs a connected graph")
+    ),
+    "connected": lambda g, s: s["g_connected"] or s["no_isolated"],
+    "diameter_two": lambda g, s: s["g_connected"] or _not_two(g, s),
+    "diameter_two_or_relaxed": lambda g, s: (
+        s["connected"] if s.relax_diameter else s["diameter_two"]
+    ),
+    "regular": lambda g, s: s["no_isolated"] or (
+        InvalidParameterError("the claim needs a regular graph")
+        if min(g.degrees) != max(g.degrees) else None
+    ),
+}
+
+
+# Every check takes (g, shared) and returns its number of comparisons,
 # whether the claim holds, and the oracle's and the formula's values, which
 # ``_run`` records in a Failure when it does not.
 
 
-def _check_obs1(g: Graph, layout: MycielskianLayout, dm):
-    by_formula, by_adjacency = mu_degrees(g), layout.mu.degrees
+def _check_obs1(g: Graph, shared: _Shared):
+    by_formula, by_adjacency = mu_degrees(g), shared["mu"].degrees
     return len(by_formula), by_formula == by_adjacency, list(by_adjacency), list(by_formula)
 
 
-def _check_obs2(g: Graph, layout: MycielskianLayout, dm: np.ndarray):
-    closed = mu_distance_matrix(dm)
-    bfs = all_pairs_distances(layout.mu)
+def _check_obs2(g: Graph, shared: _Shared):
+    closed, bfs = mu_distance_matrix(shared["dg"]), shared["dmu"]
     if np.array_equal(closed, bfs):
         return closed.size, True, None, None
     bad = np.argwhere(closed != bfs)
@@ -165,26 +192,27 @@ def _check_obs2(g: Graph, layout: MycielskianLayout, dm: np.ndarray):
     )
 
 
-def _check_lemma3(g: Graph, layout, dm):
-    brute = distance2_degree_sum(g)
+def _check_lemma3(g: Graph, shared: _Shared):
+    brute = _distance2_degree_sum(g, shared["dg"])
     formula = 2 * (g.n - 1) * g.m - first_zagreb(g)
     return 1, brute == formula, brute, formula
 
 
-def _check_thm_dd(g: Graph, layout, dm):
-    closed = dd_mycielskian_closed(g.n, g.m, first_zagreb(g), degree_distance(g))
-    brute = degree_distance(mycielskian(g).mu)
+def _check_thm_dd(g: Graph, shared: _Shared):
+    dd = _degree_distance(g, shared["dg"])
+    closed = dd_mycielskian_closed(g.n, g.m, first_zagreb(g), dd)
+    brute = _degree_distance(shared["mu"], shared["dmu"])
     return 1, closed == brute, brute, closed
 
 
-def _check_randic_bounds(g: Graph, layout, dm):
-    bounds, r_mu = randic_bounds(g), randic(mycielskian(g).mu)
+def _check_randic_bounds(g: Graph, shared: _Shared):
+    bounds, r_mu = shared["bounds"], shared["r_mu"]
     holds = bounds.lower - BOUND_TOL <= r_mu <= bounds.upper + BOUND_TOL
     return 2, holds, {"lower": bounds.lower, "upper": bounds.upper}, r_mu
 
 
-def _check_randic_equality(g: Graph, layout, dm):
-    bounds, r_mu = randic_bounds(g), randic(mycielskian(g).mu)
+def _check_randic_equality(g: Graph, shared: _Shared):
+    bounds, r_mu = shared["bounds"], shared["r_mu"]
     holds = not (abs(r_mu - bounds.lower) > BOUND_TOL or abs(r_mu - bounds.upper) > BOUND_TOL)
     return 2, holds, {"lower": bounds.lower, "upper": bounds.upper}, r_mu
 
@@ -213,13 +241,13 @@ def _run(
     outcomes = {c: VerificationOutcome(c) for c, _, _ in active}
 
     for g in corpus:
-        layout, dm, violations = _context(g, relax_diameter)
+        shared = _Shared(g, relax_diameter)
         for claim, hypothesis, check in active:
             out = outcomes[claim]
             started = time.perf_counter()
-            violation = violations[hypothesis]
+            violation = shared[hypothesis]
             if violation is None:
-                checked, holds, expected, actual = check(g, layout, dm)
+                checked, holds, expected, actual = check(g, shared)
                 out.checked += checked
                 if not holds:
                     out.failures.append(Failure(g.edges, expected, actual))

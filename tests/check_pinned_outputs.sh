@@ -14,12 +14,18 @@
 #   order, so these pin the gnp draws and the Graph built from their edge
 #   array byte for byte;
 # - the relaxed n=5 verification report, which must exit 4, by its sha256
-#   (128,126 bytes).
+#   (128,126 bytes);
+# - each claim run alone on n=5 (--claims ID) against that claim's object in
+#   the full n=5 report, since a claim run alone must compute for itself
+#   what it shares with the other claims in a full run;
+# - the n=6 verification report with --timings, every elapsed_ms set to 0,
+#   against the pinned n=6 report.
 # Run from the repository root:
 #   bash tests/check_pinned_outputs.sh
 set -euo pipefail
 out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+full=$(mktemp)
+trap 'rm -f "$out" "$full"' EXIT
 for demo in demos/*.py; do
   PYTHONPATH=src python3 "$demo" > "$out"
   diff -u "demos/expected/$(basename "$demo" .py).txt" "$out"
@@ -44,3 +50,24 @@ status=0
 PYTHONPATH=src python3 -m mycielski verify --enumerate 5 --relax-diameter > "$out" || status=$?
 [ "$status" -eq 4 ]
 echo "f72099cf498addb1271172bb4b38656ee6769c25d51203f420f15a774d4dfa1a  $out" | sha256sum -c --quiet
+PYTHONPATH=src python3 -m mycielski verify --enumerate 5 > "$full"
+for claim in $(PYTHONPATH=src python3 -c 'from mycielski.verify import CLAIM_IDS; print(*CLAIM_IDS)'); do
+  PYTHONPATH=src python3 -m mycielski verify --enumerate 5 --claims "$claim" > "$out"
+  python3 -c '
+import json, sys
+full, alone, claim = sys.argv[1:]
+(record,) = json.load(open(alone))
+if [record] != [r for r in json.load(open(full)) if r["claim"] == claim]:
+    sys.exit(f"verify --claims {claim} differs from its object in the full report")
+' "$full" "$out" "$claim"
+done
+PYTHONPATH=src python3 -m mycielski verify --enumerate 6 --timings > "$out"
+python3 -c '
+import json, sys
+timed, pinned = sys.argv[1:]
+records = json.load(open(timed))
+if not all(r["elapsed_ms"] > 0 for r in records):
+    sys.exit("verify --timings left an elapsed_ms at 0")
+if [dict(r, elapsed_ms=0) for r in records] != json.load(open(pinned)):
+    sys.exit("verify --timings differs from the pinned report beyond elapsed_ms")
+' "$out" tests/expected/verify_enumerate_6.json

@@ -131,6 +131,31 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             Graph(0)
 
+    @pytest.mark.parametrize(
+        "pairs,bad",
+        [
+            ([(False, True), (1, 2)], "(False, True)"),
+            ([(0.0, 1.0)], "(0.0, 1.0)"),
+            ([(0, 1), (1, 2.0), ("a", 1)], "(1, 2.0)"),
+        ],
+    )
+    def test_non_integer_ids_rejected_at_the_first_bad_pair(self, pairs, bad):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            Graph(3, pairs)
+        assert str(excinfo.value).startswith(f"edge {bad} ")
+
+    def test_earlier_bad_pair_error_comes_first(self):
+        with pytest.raises(SelfLoopError):
+            Graph(3, [(1, 1), (0.0, 1.0)])
+        with pytest.raises(VertexOutOfRangeError):
+            Graph(3, [(3, 0), (False, True)])
+
+    def test_numpy_integer_ids_are_stored_as_python_ints(self):
+        g = Graph(3, [(np.int64(0), np.int64(1)), (np.uint8(2), 1)])
+        assert g == Graph(3, [(0, 1), (1, 2)])
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert all(type(x) is int for row in g.adjacency for x in row)
+
     def test_connectivity(self):
         assert Graph(1).is_connected()
         assert not Graph(2).is_connected()

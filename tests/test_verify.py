@@ -182,6 +182,65 @@ class TestCorpus:
         assert timed["elapsed_ms"] > 0
 
 
+def _record_calls(monkeypatch, name):
+    """Wrap ``mycielski.verify.<name>`` so each call appends (argument, result)."""
+    import mycielski.verify as verify
+
+    original, calls = getattr(verify, name), []
+
+    def recorded(g):
+        result = original(g)
+        calls.append((g, result))
+        return result
+
+    monkeypatch.setattr(verify, name, recorded)
+    return calls
+
+
+class TestSharedWork:
+    """Each graph builds mu(G) and runs BFS on G and on the built mu at most once."""
+
+    def test_all_claims_share_one_mu_and_one_bfs_each_per_graph(self, monkeypatch):
+        built = _record_calls(monkeypatch, "mycielskian")
+        bfs = _record_calls(monkeypatch, "all_pairs_distances")
+        corpus = list(enumerate_connected(5))
+        c = len(corpus)
+        assert all(o.passed for o in verify_corpus(CLAIM_IDS, corpus))
+        assert len(built) == c and len(bfs) == 2 * c
+        on_g = [g for g, _ in bfs if g.n == 5]
+        on_mu = [g for g, _ in bfs if g.n == 11]
+        assert on_g == corpus
+        assert [id(g) for g in on_mu] == [id(layout.mu) for _, layout in built]
+
+    def test_lemma3_alone_builds_no_mu(self, monkeypatch):
+        built = _record_calls(monkeypatch, "mycielskian")
+        bfs = _record_calls(monkeypatch, "all_pairs_distances")
+        corpus = list(enumerate_connected(5))
+        (out,) = verify_corpus(["lemma3"], corpus)
+        assert out.passed and out.checked + out.skipped == len(corpus)
+        assert built == [] and [g for g, _ in bfs] == corpus
+
+    @pytest.mark.parametrize(
+        "claim,g,error,bfs_runs",
+        [
+            ("obs1", Graph(3, [(0, 1)]), TooSmallError, 0),
+            ("obs2", Graph(4, [(0, 1), (2, 3)]), DisconnectedError, 0),
+            ("thm_dd", path(4), DiameterNotTwoError, 1),
+            ("randic_equality", star(3), InvalidParameterError, 0),
+        ],
+        ids=["obs1", "obs2", "thm_dd", "randic_equality"],
+    )
+    def test_strict_mode_raises_before_the_shared_work(
+        self, monkeypatch, claim, g, error, bfs_runs
+    ):
+        built = _record_calls(monkeypatch, "mycielskian")
+        bfs = _record_calls(monkeypatch, "all_pairs_distances")
+        with pytest.raises(error):
+            verify_graph(claim, g)
+        # only the diameter needs G's distances
+        assert built == [] and [h for h, _ in bfs] == [g] * bfs_runs
+
+
 def _off_by_one_root_degree(g):
     degrees = list(mu_degrees(g))
     degrees[2 * g.n] += 1
@@ -239,7 +298,7 @@ class TestFailureReports:
         "claim,name,fake,spec,checked,expected,actual",
         [
             # the brute-force sum is the oracle, so it lands in expected
-            ("lemma3", "distance2_degree_sum", lambda f: lambda g: f(g) + 1,
+            ("lemma3", "_distance2_degree_sum", lambda f: lambda g, d: f(g, d) + 1,
              "petersen", 1, 181, 180),
             # brute force on the built mu is the oracle, the closed form the actual
             ("thm_dd", "dd_mycielskian_closed", lambda f: lambda *a: f(*a) + 1,
