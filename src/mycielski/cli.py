@@ -52,10 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if args.family is not None:
         try:
@@ -85,7 +81,7 @@ def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
         return EXIT_OK, json.dumps(_fmt(record), indent=2) + "\n"
     # identifier keys and int, float or bool values: no cell needs csv quoting
     values = (
-        _fmt_float(v) if isinstance(v, float)
+        f"{v:.12g}" if isinstance(v, float)
         else str(v).lower() if isinstance(v, bool)
         else str(v)
         for v in record.values()

@@ -16,20 +16,6 @@ import numpy as np
 from .errors import InvalidParameterError, TooLargeError
 from .graph import Graph
 
-__all__ = [
-    "FAMILIES",
-    "build_family",
-    "path",
-    "cycle",
-    "complete",
-    "complete_bipartite",
-    "star",
-    "petersen",
-    "erdos_renyi_connected",
-    "enumerate_connected",
-    "CONNECTED_COUNTS",
-]
-
 # Labeled connected graphs on 2..6 vertices; re-derived by the enumeration
 # test before anything relies on them.
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}

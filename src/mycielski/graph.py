@@ -39,15 +39,6 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-__all__ = [
-    "Graph",
-    "all_pairs_distances",
-    "diameter",
-    "parse_edge_list",
-    "format_edge_list",
-    "read_edge_list",
-]
-
 
 class Graph:
     """Immutable simple graph on vertices ``0..n-1``.
@@ -72,12 +63,17 @@ class Graph:
     Either form raises SelfLoopError or VertexOutOfRangeError, with the
     same message, for the first bad pair in input order; the pair-by-pair
     form raises InvalidParameterError for a bool or non-integer vertex id
-    and stores numpy integer ids as Python ints.
+    and stores numpy integer ids as Python ints. The order ``n`` is checked
+    the same way, before anything else.
     """
 
     __slots__ = ("n", "edges", "adjacency", "degrees")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] | np.ndarray = ()):
+        if type(n) is not int:
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise InvalidParameterError(f"a graph's order must be an integer, got {n!r}")
+            n = int(n)
         if n < 1:
             raise InvalidParameterError("a graph needs at least one vertex")
         edges: list[tuple[int, int]] | None = None

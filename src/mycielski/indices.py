@@ -23,19 +23,6 @@ import numpy as np
 from .errors import InvalidParameterError, NoEdgesError
 from .graph import Graph, all_pairs_distances
 
-__all__ = [
-    "IndexReport",
-    "RandicBounds",
-    "wiener",
-    "first_zagreb",
-    "randic",
-    "degree_distance",
-    "distance2_degree_sum",
-    "dd_mycielskian_closed",
-    "randic_bounds",
-    "index_report",
-]
-
 
 def _wiener(d: np.ndarray) -> int:
     return int(d.sum(dtype=np.int64)) // 2

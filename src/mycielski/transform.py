@@ -20,8 +20,6 @@ import numpy as np
 from .errors import InvalidParameterError, TooSmallError
 from .graph import Graph
 
-__all__ = ["MycielskianLayout", "mycielskian", "mu_degrees", "mu_distance_matrix"]
-
 
 @dataclass(frozen=True)
 class MycielskianLayout:

@@ -50,15 +50,6 @@ from .indices import (
 )
 from .transform import mu_degrees, mu_distance_matrix, mycielskian
 
-__all__ = [
-    "CLAIM_IDS",
-    "BOUND_TOL",
-    "Failure",
-    "VerificationOutcome",
-    "verify_graph",
-    "verify_corpus",
-]
-
 BOUND_TOL = 1e-9
 
 

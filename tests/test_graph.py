@@ -156,6 +156,16 @@ class TestConstruction:
         assert all(type(x) is int for e in g.edges for x in e)
         assert all(type(x) is int for row in g.adjacency for x in row)
 
+    @pytest.mark.parametrize("n", [True, False, 3.0, "3", None])
+    def test_non_integer_order_rejected(self, n):
+        with pytest.raises(InvalidParameterError, match="order must be an integer"):
+            Graph(n)
+
+    def test_numpy_integer_order_is_stored_as_a_python_int(self):
+        g = Graph(np.int64(2), [(0, 1)])
+        assert type(g.n) is int and g == Graph(2, [(0, 1)])
+        assert type(mycielskian(g).mu.n) is int
+
     def test_connectivity(self):
         assert Graph(1).is_connected()
         assert not Graph(2).is_connected()

@@ -6,15 +6,26 @@ mu(G) below, and its Mycielskian, Wiener index and Schultz index (which is
 the degree distance) on every connected graph of order 2 to 5 and four
 named graphs.
 Each test lists every graph that disagrees.
+
+The atlas tests take one graph per isomorphism class from networkx's graph
+atlas, weighted by its orbit n!/|Aut| (the labeled graphs isomorphic to
+it), since the paper's claims do not depend on labels. The orbit sums
+re-derive ``CONNECTED_COUNTS``, and at order 6 the weighted counts of
+``verify_corpus`` rebuild the pinned ``verify --enumerate 6`` report from a
+corpus that does not come from ``enumerate_connected``.
 """
 
+import json
 from itertools import combinations
+from math import factorial
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 
 from mycielski.generators import (
+    CONNECTED_COUNTS,
     build_family,
     complete_bipartite,
     cycle,
@@ -25,6 +36,9 @@ from mycielski.generators import (
 from mycielski.graph import Graph, diameter
 from mycielski.indices import dd_mycielskian_closed, degree_distance, first_zagreb, wiener
 from mycielski.transform import mycielskian
+from mycielski.verify import CLAIM_IDS, verify_corpus
+
+PINNED_N6 = Path(__file__).parent / "expected" / "verify_enumerate_6.json"
 
 
 def nx_graph(g):
@@ -128,3 +142,37 @@ def test_closed_form_on_diameter_two(corpus):
     ]
     # 395 of the enumerated graphs, then C5, Petersen, K2,3 and the star
     assert (len(two), wrong) == (399, [])
+
+
+@pytest.fixture(scope="module")
+def atlas_classes():
+    """(networkx graph, orbit size) for every connected atlas graph of order 2 to 6."""
+    classes = []
+    for h in nx.graph_atlas_g():
+        if 2 <= len(h) <= 6 and nx.is_connected(h):
+            automorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            classes.append((h, factorial(len(h)) // automorphisms))
+    return classes
+
+
+def test_atlas_orbit_sums_are_the_connected_counts(atlas_classes):
+    sums = dict.fromkeys(CONNECTED_COUNTS, 0)
+    for h, orbit in atlas_classes:
+        sums[len(h)] += orbit
+    assert (len(atlas_classes), sums) == (142, CONNECTED_COUNTS)
+
+
+def test_atlas_classes_rebuild_the_pinned_n6_report(atlas_classes):
+    counts = {claim: [0, 0] for claim in CLAIM_IDS}
+    failed = []
+    for h, orbit in atlas_classes:
+        if len(h) != 6:
+            continue
+        g = Graph(6, h.edges())
+        for outcome in verify_corpus(CLAIM_IDS, [g]):
+            if not outcome.passed:
+                failed.append((g, outcome.claim))
+            counts[outcome.claim][0] += orbit * outcome.checked
+            counts[outcome.claim][1] += orbit * outcome.skipped
+    pinned = {o["claim"]: [o["checked"], o["skipped"]] for o in json.loads(PINNED_N6.read_text())}
+    assert (failed, counts) == ([], pinned)
