@@ -11,15 +11,10 @@ and one loop over that list builds the sorted neighbour tuples, so both
 give equal graphs of Python ints and the same errors.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
-from every source at once, in up to three forms. Up to ``_WORD_MAX_N``
-vertices each source's reached set is one Python int bitset and a level is
-one OR per edge end. Larger graphs keep the same bitsets as a uint64 array
-and advance every source by one numpy gather and OR-reduce per level, for
-as many levels as cost no more than one sparse BFS from every source; any
-rows still incomplete then go on in the blocked kernel, 128 sources at a
-time, by neighbour-list gathers or, for large frontiers, one
-frontier-by-adjacency product. Every form reads its neighbour lists from
-``Graph.adjacency`` and returns the exact distances as a read-only
+from every source at once: on Python int bitsets up to ``_WORD_MAX_N``
+vertices, on uint64 word bitsets above it, and past a level budget in a
+blocked kernel of bounded neighbour-list gathers. It does integer and
+bitwise arithmetic only and returns the exact distances as a read-only
 ``(n, n)`` int64 array. The brute-force oracles of ``verify`` (obs2,
 thm_dd) run it on the explicitly built Mycielskian.
 """
@@ -62,9 +57,9 @@ class Graph:
 
     Either form raises SelfLoopError or VertexOutOfRangeError, with the
     same message, for the first bad pair in input order; the pair-by-pair
-    form raises InvalidParameterError for a bool or non-integer vertex id
-    and stores numpy integer ids as Python ints. The order ``n`` is checked
-    the same way, before anything else.
+    form raises InvalidParameterError for an item that is not a pair and for
+    a bool or non-integer vertex id, and stores numpy integer ids as Python
+    ints. The order ``n`` is checked the same way, before anything else.
     """
 
     __slots__ = ("n", "edges", "adjacency", "degrees")
@@ -83,7 +78,11 @@ class Graph:
                 pairs = pairs.tolist()  # Python ints, so no numpy scalar reaches edges
         if edges is None:
             seen: set[tuple[int, int]] = set()
-            for u, v in pairs:
+            for pair in pairs:
+                try:
+                    u, v = pair
+                except (TypeError, ValueError) as exc:
+                    raise InvalidParameterError(f"edge {pair!r} is not a (u, v) pair") from exc
                 if not (type(u) is int is type(v)):
                     u, v = _vertex_ids(u, v)
                 # one order test picks the end to range-check, so a valid pair
@@ -187,17 +186,10 @@ _BLOCK_ROWS = 128
 # at n = 48 gnp(0.5) is even and the lollipop 1.6x faster in numpy, and at
 # n = 64 both gnp densities and the lollipop are faster in numpy.
 _WORD_MAX_N = 24
-# A numpy word level gathers the rows of about this many times n neighbours
-# at a time (at most n more), so the gathered words stay near n^2 bytes, an
-# eighth of the int64 result, on a graph of any density.
+# One gather holds about n^2 bytes, an eighth of the int64 result, on a graph
+# of any density: a numpy word level gathers the ceil(n/64)-word rows of this
+# many times n neighbours, a blocked-kernel level that many words of pair keys.
 _GATHER_EDGES = 8
-# A level runs as a dense product when its frontier has more than
-# (block rows) * n^2 / _DENSE_RATIO edges to gather. Single-threaded on a
-# 2-core x86 host, numpy gathers one edge (35-45 ns) in the time OpenBLAS
-# takes for 1,000-2,000 float32 multiply-adds (18-35 ps each). So a dense
-# level only runs where it is cheaper than the sparse one, and the whole
-# APSP stays within the O(n (n + m)) of a sparse BFS whatever the diameter.
-_DENSE_RATIO = 1024
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -228,27 +220,18 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     - Rows still incomplete after that go on in the blocked kernel, 128
       source rows at a time, from the last word level k: the frontier is
       the pairs at distance k and the next level is k + 1 (with no word
-      levels, k = 0 and the frontier is the diagonal). The frontier
-      advances in whichever of two forms is cheaper for its size:
-
-      - sparse: gather the frontier vertices' neighbour lists and keep the
-        pairs not seen before; the cost is the frontier's edge count;
-      - dense: multiply the 0/1 frontier matrix by the float32 adjacency
-        matrix ``A``; a positive entry marks a vertex adjacent to the
-        frontier. Every entry is a sum of 0/1 terms and only its sign is
-        read, so the level is exact; no floating-point distance is formed.
-
-      The choice (see ``_DENSE_RATIO``) keeps the kernel within
-      O(n (n + m)) for any diameter, so a long path or cycle costs what it
-      did without the word levels.
+      levels, k = 0 and the frontier is the diagonal). A level gathers the
+      frontier vertices' neighbour lists, in parts of at most one gather
+      (``_GATHER_EDGES``) cut at cumulative degree, and keeps the pairs not
+      seen before. It costs the frontier's edge count, so the kernel stays
+      within O(n (n + m)) for any diameter.
 
     Memory is the n x n int64 result. The numpy word levels add two word
     arrays of n^2/8 bytes, a uint16 level count of 2 n^2 bytes (freed
     before the kernel runs), the n^2 bytes of one level's unpacked bits and
     the gathered rows of one vertex chunk (see ``_GATHER_EDGES``). The
-    blocked kernel adds the n x n float32 ``A`` (built only if some level
-    is dense) and, per level, O(128 n) or the gathered edges, fewer than
-    128 n^2 / _DENSE_RATIO.
+    blocked kernel adds O(128 n) per level and a few int64 arrays over one
+    part's gathered edges, about n^2 / 8 of them.
 
     Raises InvalidParameterError, before allocating anything, when n
     exceeds ``_EXACT_ORDER_LIMIT``, the order up to which every int64
@@ -272,7 +255,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
     first_nbr = np.cumsum(deg) - deg
     d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m))
-    adj = None
+    gather = _GATHER_EDGES * n * -(-n // 64)
     for lo in range(0, n, _BLOCK_ROWS):
         rows = d[lo : lo + _BLOCK_ROWS]
         b = len(rows)
@@ -284,32 +267,27 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         k = last
         while keys.size and reached < b * n:
             k += 1
-            e = int(deg[keys % n].sum())  # edges to gather from the frontier
-            if e * _DENSE_RATIO > b * n * n:
-                if adj is None:
-                    adj = np.zeros((n, n), dtype=np.float32)
-                    adj[np.repeat(np.arange(n), deg), nbr] = 1.0
-                frontier = np.zeros((b, n), dtype=np.float32)
-                frontier.reshape(-1)[keys] = 1.0
-                reach = np.matmul(frontier, adj) > 0
-                reach &= rows < 0
-                keys = reach.reshape(-1).nonzero()[0]
-            else:
-                v = keys % n
-                cnt = deg[v]
+            v = keys % n
+            cnt = deg[v]
+            ends = np.cumsum(cnt)  # frontier pair i gathers edges ends[i] - cnt[i] .. ends[i] - 1
+            # a frontier with more edges than one gather holds goes in parts, each
+            # written into flat before the next is gathered, so none repeats a pair
+            cuts = (0, keys.size) if ends[-1] <= gather else _cuts(ends - cnt, ends[-1], gather)
+            found = []
+            for a, z in zip(cuts, cuts[1:]):
                 # each gathered edge's place in nbr, then its pair (s, w)
-                cand = np.repeat(first_nbr[v] - (np.cumsum(cnt) - cnt), cnt)
-                cand += np.arange(e)
+                cand = np.repeat(first_nbr[v[a:z]] - ends[a:z] + cnt[a:z], cnt[a:z])
+                cand += np.arange(ends[a] - cnt[a], ends[z - 1])
                 cand = nbr[cand]
-                cand += np.repeat(keys - v, cnt)
-                # sorted and deduplicated in place; np.unique would import
-                # numpy.ma on its first call, tens of ms in a fresh process
-                keys = cand[flat[cand] < 0]
-                keys.sort()
-                first = np.ones(keys.size, dtype=bool)
-                first[1:] = keys[1:] != keys[:-1]
-                keys = keys[first]
-            flat[keys] = k
+                cand += np.repeat(keys[a:z] - v[a:z], cnt[a:z])
+                # sorted and deduplicated in place, not by np.unique (see _cuts)
+                new = cand[flat[cand] < 0]
+                new.sort()
+                first = np.ones(new.size, dtype=bool)
+                first[1:] = new[1:] != new[:-1]
+                found.append(new[first])
+                flat[found[-1]] = k
+            keys = found[0] if len(found) == 1 else np.concatenate(found)
             reached += keys.size
         if reached < b * n:
             s = lo + int(np.argmax(rows.min(axis=1) < 0))
@@ -352,9 +330,7 @@ def _numpy_word_levels(
     full = np.bitwise_or.reduce(r, axis=0)
     grown = np.empty_like(r)
     bounds = np.append(first_nbr, nbr.size)  # vertex v's neighbours: bounds[v]..bounds[v+1]
-    # not np.unique: its first call imports numpy.ma, tens of ms in a fresh process
-    cuts = np.searchsorted(first_nbr, np.arange(0, nbr.size, _GATHER_EDGES * n))
-    cuts = sorted({*cuts.tolist(), n})
+    cuts = _cuts(first_nbr, nbr.size, _GATHER_EDGES * n)
     chunks = [
         (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
         for a, b in zip(cuts, cuts[1:])
@@ -380,6 +356,13 @@ def _numpy_word_levels(
     if k == budget:
         np.copyto(d, -1, where=missing(r).view(bool))
     return d, k
+
+
+def _cuts(starts: np.ndarray, total: int, step: int) -> list[int]:
+    """Cuts from 0 to len(starts) into parts of about ``step`` of ``total``
+    entries laid end to end from the offsets ``starts``, at most one item more."""
+    # not np.unique: its first call imports numpy.ma, tens of ms in a fresh process
+    return sorted({*np.searchsorted(starts, np.arange(0, total, step)).tolist(), starts.size})
 
 
 def _word_distances(g: Graph) -> np.ndarray:

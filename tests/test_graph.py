@@ -28,6 +28,7 @@ from mycielski.graph import (
     _WORD_MAX_N,
     Graph,
     _canonical_rows,
+    _cuts,
     _numpy_word_levels,
     _word_distances,
     _word_level_budget,
@@ -63,6 +64,28 @@ def lollipop(clique, tail):
     edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
     edges += [(v, v + 1) for v in range(clique - 1, clique + tail - 1)]
     return Graph(clique + tail, edges)
+
+
+def barbell(clique, bar):
+    """Two copies of K_clique joined by a path through ``bar`` more vertices."""
+    n = 2 * clique + bar
+    second = [(u, v) for u in range(clique + bar, n) for v in range(u + 1, n)]
+    return Graph(n, lollipop(clique, bar + 1).edges + tuple(second))
+
+
+def broom(clique, handle, leaves):
+    """A lollipop on a ``handle``-vertex path with ``leaves`` leaves on its end."""
+    end = clique + handle - 1
+    bristles = tuple((end, end + i) for i in range(1, leaves + 1))
+    return Graph(end + 1 + leaves, lollipop(clique, handle).edges + bristles)
+
+
+def clique_chain(cliques, size):
+    """``cliques`` copies of K_size in a row, each joined to the next by one edge."""
+    starts = range(0, cliques * size, size)
+    edges = [(u, v) for c in starts for u in range(c, c + size) for v in range(u + 1, c + size)]
+    edges += [(c - 1, c) for c in range(size, cliques * size, size)]
+    return Graph(cliques * size, edges)
 
 
 SHAPES = {
@@ -143,6 +166,13 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError) as excinfo:
             Graph(3, pairs)
         assert str(excinfo.value).startswith(f"edge {bad} ")
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), 5])
+    def test_malformed_pair_rejected(self, pair):
+        with pytest.raises(InvalidParameterError) as exc:
+            Graph(3, [(0, 1), pair])
+        assert str(exc.value) == f"edge {pair!r} is not a (u, v) pair"
+        assert isinstance(exc.value.__cause__, (TypeError, ValueError))
 
     def test_earlier_bad_pair_error_comes_first(self):
         with pytest.raises(SelfLoopError):
@@ -452,8 +482,20 @@ class TestDistances:
             lambda: star(130),
             lambda: lollipop(100, 30),
             lambda: erdos_renyi_connected(257, 0.05, 257),
+            lambda: barbell(100, 100),
+            lambda: broom(150, 100, 50),
+            lambda: clique_chain(6, 50),
         ],
-        ids=["path300", "cycle257", "star130", "lollipop100_30", "gnp257"],
+        ids=[
+            "path300",
+            "cycle257",
+            "star130",
+            "lollipop100_30",
+            "gnp257",
+            "barbell100_100",
+            "broom150_100_50",
+            "chain6x50",
+        ],
     )
     def test_blocked_kernel_resumes_after_the_word_levels(self, build, budget, monkeypatch):
         monkeypatch.setattr(
@@ -497,27 +539,42 @@ class TestDistances:
         all_pairs_distances(path(300))
         assert handoffs == [(4, False), (2, True)]
 
-    @pytest.mark.parametrize("ratio", [0, 2**40], ids=["all_sparse", "all_dense"])
-    def test_each_level_form_is_exact_alone(self, ratio, monkeypatch):
-        # the kernel picks a form per level; forcing one form everywhere
-        # checks each against the reference on its own, and a word bound and
-        # a word-level budget of 0 send every graph through the kernel alone
+    @pytest.mark.parametrize("gather_edges", [None, 1], ids=["default_gather", "tiny_gather"])
+    def test_blocked_kernel_alone_is_exact(self, gather_edges, monkeypatch):
+        # a word bound and a word-level budget of 0 send every graph through
+        # the kernel alone. With a gather of n ceil(n/64) edges instead of 8
+        # times that, most levels go in parts, and a pair found by one part
+        # must not be found again by the next.
         monkeypatch.setattr("mycielski.graph._WORD_MAX_N", 0)
         monkeypatch.setattr("mycielski.graph._word_level_budget", lambda n, m: 0)
-        monkeypatch.setattr("mycielski.graph._DENSE_RATIO", ratio)
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _cuts(*args)
+
+        monkeypatch.setattr("mycielski.graph._cuts", recorded)
+        if gather_edges is not None:
+            monkeypatch.setattr("mycielski.graph._GATHER_EDGES", gather_edges)
         graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
         graphs += [mycielskian(g).mu for g in graphs]
         graphs += [Graph(1), star(130), cycle(129), erdos_renyi_connected(257, 0.05, 1)]
-        graphs += [giant_component(257, 0.02, 1)]
+        graphs += [giant_component(257, 0.02, 1), barbell(30, 20), clique_chain(5, 12)]
         for g in graphs:
+            before = len(calls)
             assert np.array_equal(all_pairs_distances(g), bfs_distances(g))
+            # the word levels cut their chunks once; every later call is a
+            # kernel level gathered in parts, which the tiny gather forces
+            # on any graph of 3 or more vertices
+            if gather_edges and g.n >= 3:
+                assert len(calls) - before > 1
         with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
             all_pairs_distances(Graph(200, [(v, v + 1) for v in range(199) if v != 149]))
 
     @pytest.mark.parametrize("build", [path, cycle])
     def test_long_diameter_stays_fast(self, build):
-        # a dense product per level would cost about n^4 here (minutes);
-        # the sparse form keeps the whole APSP near n^2
+        # a kernel level costs its frontier's edges, O(n) per block here, so
+        # the whole APSP stays near n^2; a level costing n^2 would take minutes
         n = 2000
         start = time.perf_counter()
         d = all_pairs_distances(build(n))

@@ -10,14 +10,17 @@ Each test lists every graph that disagrees.
 The atlas tests take one graph per isomorphism class from networkx's graph
 atlas, weighted by its orbit n!/|Aut| (the labeled graphs isomorphic to
 it), since the paper's claims do not depend on labels. The orbit sums
-re-derive ``CONNECTED_COUNTS``, and at order 6 the weighted counts of
-``verify_corpus`` rebuild the pinned ``verify --enumerate 6`` report from a
-corpus that does not come from ``enumerate_connected``.
+re-derive ``CONNECTED_COUNTS`` and the 1,866,256 connected graphs of order
+7. At order 6 the weighted counts of ``verify_corpus`` rebuild the pinned
+``verify --enumerate 6`` report from a corpus that does not come from
+``enumerate_connected``. At order 7 every claim is checked on each class
+against networkx's Mycielskian, BFS and degrees, and the weighted counts
+against the hypotheses as networkx sees them.
 """
 
 import json
 from itertools import combinations
-from math import factorial
+from math import factorial, sqrt
 from pathlib import Path
 
 import networkx as nx
@@ -33,10 +36,17 @@ from mycielski.generators import (
     petersen,
     star,
 )
-from mycielski.graph import Graph, diameter
-from mycielski.indices import dd_mycielskian_closed, degree_distance, first_zagreb, wiener
-from mycielski.transform import mycielskian
-from mycielski.verify import CLAIM_IDS, verify_corpus
+from mycielski.graph import Graph, all_pairs_distances, diameter
+from mycielski.indices import (
+    dd_mycielskian_closed,
+    degree_distance,
+    distance2_degree_sum,
+    first_zagreb,
+    randic_bounds,
+    wiener,
+)
+from mycielski.transform import mu_degrees, mu_distance_matrix, mycielskian
+from mycielski.verify import BOUND_TOL, CLAIM_IDS, verify_corpus
 
 PINNED_N6 = Path(__file__).parent / "expected" / "verify_enumerate_6.json"
 
@@ -146,20 +156,24 @@ def test_closed_form_on_diameter_two(corpus):
 
 @pytest.fixture(scope="module")
 def atlas_classes():
-    """(networkx graph, orbit size) for every connected atlas graph of order 2 to 6."""
+    """(networkx graph, orbit size) for every connected atlas graph of order 2 to 7."""
     classes = []
     for h in nx.graph_atlas_g():
-        if 2 <= len(h) <= 6 and nx.is_connected(h):
-            automorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        if 2 <= len(h) <= 7 and nx.is_connected(h):
+            # a graph and its complement have the same automorphisms, and
+            # vf2pp finds those of the sparser one faster
+            sparse = h if 4 * h.number_of_edges() <= len(h) * (len(h) - 1) else nx.complement(h)
+            automorphisms = sum(1 for _ in nx.vf2pp_all_isomorphisms(sparse, sparse))
             classes.append((h, factorial(len(h)) // automorphisms))
     return classes
 
 
 def test_atlas_orbit_sums_are_the_connected_counts(atlas_classes):
-    sums = dict.fromkeys(CONNECTED_COUNTS, 0)
+    sums = dict.fromkeys([*CONNECTED_COUNTS, 7], 0)
     for h, orbit in atlas_classes:
         sums[len(h)] += orbit
-    assert (len(atlas_classes), sums) == (142, CONNECTED_COUNTS)
+    # order 7: OEIS A001187, beyond the enumeration cap
+    assert (len(atlas_classes), sums) == (142 + 853, {**CONNECTED_COUNTS, 7: 1_866_256})
 
 
 def test_atlas_classes_rebuild_the_pinned_n6_report(atlas_classes):
@@ -176,3 +190,62 @@ def test_atlas_classes_rebuild_the_pinned_n6_report(atlas_classes):
             counts[outcome.claim][1] += orbit * outcome.skipped
     pinned = {o["claim"]: [o["checked"], o["skipped"]] for o in json.loads(PINNED_N6.read_text())}
     assert (failed, counts) == ([], pinned)
+
+
+def nx_randic(h):
+    degree = dict(h.degree)
+    return sum(1 / sqrt(degree[u] * degree[v]) for u, v in h.edges())
+
+
+def test_atlas_order_7_against_networkx(atlas_classes):
+    classes = [(h, orbit) for h, orbit in atlas_classes if len(h) == 7]
+    wrong = {claim: [] for claim in CLAIM_IDS}
+    total = diameter_two = regular = 0
+    for h, orbit in classes:
+        g, nx_mu = Graph(7, h.edges()), nx.mycielskian(h)
+        total += orbit
+        mu_degree = [d for _, d in sorted(nx_mu.degree)]
+        if list(mu_degrees(g)) != mu_degree:
+            wrong["obs1"].append(g)
+        d_mu = np.zeros((15, 15), dtype=np.int64)
+        for u, row in nx.all_pairs_shortest_path_length(nx_mu):
+            d_mu[u, list(row)] = list(row.values())
+        if not np.array_equal(mu_distance_matrix(all_pairs_distances(g)), d_mu):
+            wrong["obs2"].append(g)
+        if nx.diameter(h) == 2:
+            diameter_two += orbit
+            # at diameter 2 the pairs at distance 2 are the non-edges
+            pair_sum = sum(h.degree(u) + h.degree(v) for u, v in nx.complement(h).edges())
+            if not pair_sum == distance2_degree_sum(g) == 12 * g.m - first_zagreb(g):
+                wrong["lemma3"].append(g)
+            # DD(mu): each pair's distance times its degree sum, row by row
+            dd = dd_mycielskian_closed(7, g.m, first_zagreb(g), degree_distance(g))
+            if dd != sum(mu_degree[u] * int(d_mu[u].sum()) for u in range(15)):
+                wrong["thm_dd"].append(g)
+        bounds, r_mu = randic_bounds(g, nx_randic(h)), nx_randic(nx_mu)
+        if not bounds.lower - BOUND_TOL <= r_mu <= bounds.upper + BOUND_TOL:
+            wrong["randic_bounds"].append(g)
+        if nx.is_regular(h):
+            regular += orbit
+            if max(abs(r_mu - bounds.lower), abs(r_mu - bounds.upper)) > BOUND_TOL:
+                wrong["randic_equality"].append(g)
+    assert wrong == {claim: [] for claim in CLAIM_IDS}
+
+    # obs1 and obs2 count the vertices and matrix entries of mu, and the
+    # Randić claims two comparisons per graph
+    expected = {
+        "obs1": [15 * total, 0],
+        "obs2": [15 * 15 * total, 0],
+        "lemma3": [diameter_two, total - diameter_two],
+        "thm_dd": [diameter_two, total - diameter_two],
+        "randic_bounds": [2 * total, 0],
+        "randic_equality": [2 * regular, total - regular],
+    }
+    counts = {claim: [0, 0] for claim in CLAIM_IDS}
+    failed = []
+    for h, orbit in classes:
+        for outcome in verify_corpus(CLAIM_IDS, [Graph(7, h.edges())]):
+            failed += outcome.failures
+            counts[outcome.claim][0] += orbit * outcome.checked
+            counts[outcome.claim][1] += orbit * outcome.skipped
+    assert (failed, counts) == ([], expected)
