@@ -14,14 +14,15 @@ finishes with status 0 or 4; any other status leaves an existing
 ``--output`` file as it was.
 
 Exit status: 0 success, 1 usage error (an ``--output`` that cannot be
-opened included; a missing ``--output`` directory is found before any
-work), 2 input error (unreadable, not UTF-8 or malformed),
-3 hypothesis violation, 4 verification failure.
+opened included; one that is empty, a directory or in a missing
+directory is found before any work), 2 input error (unreadable, not
+UTF-8 or malformed), 3 hypothesis violation, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -59,10 +60,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         except InvalidParameterError as exc:
             raise _UsageError(f"bad family spec {args.family!r}: {exc}") from exc
     return read_edge_list(args.input)
-
-
-def _unwritable(path: str, exc: OSError) -> _UsageError:
-    return _UsageError(f"cannot write {path}: {exc}")
 
 
 def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
@@ -193,12 +190,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.output is not None:
-            # a missing --output directory fails before any work, creating nothing
+            # an empty --output, a directory or one in a missing directory fails before any work
             try:
+                if not args.output or os.path.isdir(args.output):
+                    code = errno.EISDIR if args.output else errno.ENOENT
+                    raise OSError(code, os.strerror(code))
                 os.stat(os.path.dirname(args.output.rstrip(os.sep)) or ".")
             except OSError as exc:
                 err = OSError(exc.errno, exc.strerror, args.output)  # worded as open's error
-                raise _unwritable(args.output, err) from exc
+                raise _UsageError(f"cannot write {args.output}: {err}") from exc
         status, report = args.handler(args)
         if args.output is None:
             sys.stdout.write(report)
@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                 with open(args.output, "w", encoding="utf-8", newline="\n") as out:
                     out.write(report)
             except OSError as exc:
-                raise _unwritable(args.output, exc) from exc
+                raise _UsageError(f"cannot write {args.output}: {exc}") from exc
         return status
     except _UsageError as exc:
         print(f"mycielski: error: {exc}", file=sys.stderr)

@@ -209,16 +209,7 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
 def _connected_graphs(n: int) -> Iterator[Graph]:
     all_pairs = list(combinations(range(n), 2))
-    full = (1 << n) - 1
     for mask in range(1 << len(all_pairs)):
-        pairs = [p for k, p in enumerate(all_pairs) if mask >> k & 1]
-        # grow vertex 0's component by sweeping the pairs until a sweep adds nothing
-        seen, grown = 1, True
-        while grown:
-            grown = False
-            for u, v in pairs:
-                if (seen >> u ^ seen >> v) & 1:
-                    seen |= 1 << u | 1 << v
-                    grown = True
-        if seen == full:
-            yield Graph(n, pairs)
+        g = Graph(n, [p for k, p in enumerate(all_pairs) if mask >> k & 1])
+        if g.is_connected():
+            yield g

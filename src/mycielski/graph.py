@@ -113,6 +113,8 @@ class Graph:
         return len(self.edges)
 
     def is_connected(self) -> bool:
+        """Whether a depth-first search from vertex 0 reaches every vertex: the package's
+        one connectivity test, used by the enumeration, ``gnp`` and ``verify``."""
         adjacency = self.adjacency
         seen = bytearray(self.n)
         seen[0] = 1
@@ -235,11 +237,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
     Raises InvalidParameterError, before allocating anything, when n
     exceeds ``_EXACT_ORDER_LIMIT``, the order up to which every int64
-    distance sum stays exact. Raises DisconnectedError, naming the first
-    source that cannot reach every vertex, when a level changes no row (word
-    forms), when some vertex has no neighbour (before any numpy level runs)
-    or when a block's frontier empties (blocked kernel) before every row is
-    complete; the matrix therefore never contains infinities.
+    distance sum stays exact. Raises DisconnectedError, whose message names
+    vertex 0 (on a disconnected graph its row never completes), as soon as
+    that shows: a vertex with no neighbour, a level that grows no row or a
+    block whose frontier empties; the matrix never contains infinities.
     """
     n = g.n
     if n > _EXACT_ORDER_LIMIT:
@@ -290,8 +291,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
             keys = found[0] if len(found) == 1 else np.concatenate(found)
             reached += keys.size
         if reached < b * n:
-            s = lo + int(np.argmax(rows.min(axis=1) < 0))
-            raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
+            raise DisconnectedError("vertex 0 cannot reach the whole graph")
     d.setflags(write=False)
     return d
 
@@ -347,8 +347,7 @@ def _numpy_word_levels(
             gathered = np.take(r, chunk_nbr, axis=0)
             np.bitwise_or(r[a:b], np.bitwise_or.reduceat(gathered, offsets), out=grown[a:b])
         if np.array_equal(grown, r):
-            s = int(np.argmax((r != full).any(axis=1)))
-            raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
+            raise DisconnectedError("vertex 0 cannot reach the whole graph")
         r, grown = grown, r
         k += 1
     d = counts.astype(np.int64)
@@ -379,8 +378,7 @@ def _word_distances(g: Graph) -> np.ndarray:
                     r |= rows[v]
             grown.append(r)
         if grown == rows:
-            s = next(s for s, r in enumerate(rows) if r != full)
-            raise DisconnectedError(f"vertex {s} cannot reach the whole graph")
+            raise DisconnectedError("vertex 0 cannot reach the whole graph")
         rows = grown
         levels.append(rows)
     missing = np.fromiter(chain.from_iterable(levels), dtype="<u8", count=len(levels) * n)
@@ -429,7 +427,7 @@ def parse_edge_list(text: str) -> Graph:
 def format_edge_list(g: Graph, comment: str | None = None) -> str:
     lines = [f"{g.n} {g.m}"]
     if comment is not None:
-        lines.append(f"# {comment}")
+        lines.extend(f"# {line}" for line in comment.split("\n"))
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 

@@ -313,6 +313,31 @@ class TestExitStatuses:
         assert run_cli("verify", "--enumerate", "6", "--output", str(target)) == (1, "")
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize(
+        "target,error",
+        [
+            ("out", "[Errno 21] Is a directory: '{}'"),
+            ("", "[Errno 2] No such file or directory: ''"),
+        ],
+        ids=["directory", "empty"],
+    )
+    def test_refused_output_path_fails_before_the_run(
+        self, target, error, monkeypatch, tmp_path, capsys
+    ):
+        def never(args):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setattr("mycielski.cli._cmd_verify", never)
+        (tmp_path / "out").mkdir()
+        if target:
+            target = str(tmp_path / target)
+        assert run_cli("verify", "--enumerate", "6", "--output", target) == (1, "")
+        # worded as the late error open(target, "w") gives
+        assert capsys.readouterr().err == (
+            f"mycielski: error: cannot write {target}: {error.format(target)}\n"
+        )
+        assert [p.name for p in tmp_path.rglob("*")] == ["out"]  # nothing created
+
     @pytest.mark.parametrize("claims", [",", ""], ids=["comma", "empty"])
     def test_empty_claims_are_a_usage_error(self, claims):
         code, out, err = run_process("verify", "--claims", claims, "--enumerate", "6")

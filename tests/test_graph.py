@@ -632,6 +632,11 @@ class TestEdgeListFormat:
         assert text.splitlines()[1] == "# roles: whatever"
         assert parse_edge_list(text) == path(3)
 
+    def test_multi_line_comment_round_trips(self):
+        text = format_edge_list(path(3), comment="made by\nhand\n")
+        assert text == "3 2\n# made by\n# hand\n# \n0 1\n1 2\n"
+        assert parse_edge_list(text) == path(3)
+
     def test_trailing_whitespace_tolerated(self):
         assert parse_edge_list("2 1 \n0 1\t\n\n") == path(2)
 
