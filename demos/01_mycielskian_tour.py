@@ -36,8 +36,8 @@ g = cycle(5)
 layout = mycielskian(g)
 print("vertices:", layout.mu.n, " edges:", layout.mu.m)
 degrees = mu_degrees(g)
-print("root degree:", degrees[layout.root], "(always n)")
-print("shadow degrees:", [degrees[layout.shadow(i)] for i in range(5)],
+print("root degree:", degrees[2 * 5], "(always n)")
+print("shadow degrees:", [degrees[5 + i] for i in range(5)],
       "(always 1 + base degree)")
 print("original degrees:", [degrees[i] for i in range(5)],
       "(always twice the base degree)")

@@ -88,10 +88,9 @@ def _cmd_compute(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_mycielskian(args: argparse.Namespace) -> tuple[int, str]:
     g = _load_graph(args)
-    layout = mycielskian(g)
     n = g.n
     comment = f"roles: original 0..{n - 1}, shadow {n}..{2 * n - 1}, root {2 * n}"
-    return EXIT_OK, format_edge_list(layout.mu, comment)
+    return EXIT_OK, format_edge_list(mycielskian(g).mu, comment)
 
 
 def _enumerated(n: int) -> Iterator[Graph]:

@@ -112,13 +112,11 @@ def randic_bounds(g: Graph, r: float | None = None) -> RandicBounds:
         # sqrt(delta^2 + delta)
         raise InvalidParameterError("bounds undefined at minimum degree 0")
     half_r = (randic(g) if r is None else r) / 2.0
-    lower = half_r + (math.sqrt(2.0) * m + math.sqrt(n * big_delta)) / math.sqrt(
-        big_delta * big_delta + big_delta
-    )
-    upper = half_r + (math.sqrt(2.0) * m + math.sqrt(n * delta)) / math.sqrt(
-        delta * delta + delta
-    )
-    return RandicBounds(lower=lower, upper=upper, is_regular=delta == big_delta)
+
+    def bound(d: int) -> float:
+        return half_r + (math.sqrt(2.0) * m + math.sqrt(n * d)) / math.sqrt(d * d + d)
+
+    return RandicBounds(lower=bound(big_delta), upper=bound(delta), is_regular=delta == big_delta)
 
 
 @dataclass(frozen=True)

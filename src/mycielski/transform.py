@@ -23,23 +23,15 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class MycielskianLayout:
-    """A base graph together with its Mycielskian under the fixed layout."""
+    """mu(G) as a Graph under this module's layout."""
 
-    base: Graph
     mu: Graph
-
-    @property
-    def root(self) -> int:
-        return 2 * self.base.n
-
-    def shadow(self, i: int) -> int:
-        return self.base.n + i
 
 
 def mycielskian(g: Graph) -> MycielskianLayout:
     """Construct the Mycielskian of ``g``.
 
-    Edges are the base edges, one ``(u, shadow(v))`` and ``(v, shadow(u))``
+    Edges are the base edges, one ``(u, n + v)`` and ``(v, n + u)``
     pair per base edge, and the root joined to every shadow, giving
     ``3m + n`` edges on ``2n + 1`` vertices. mu(G) is connected exactly
     when G has no isolated vertex, so an input with one (K1 and edgeless
@@ -54,7 +46,7 @@ def mycielskian(g: Graph) -> MycielskianLayout:
         pairs.append((v, n + u))
     root = 2 * n
     pairs.extend((root, n + j) for j in range(n))
-    return MycielskianLayout(base=g, mu=Graph(2 * n + 1, pairs))
+    return MycielskianLayout(mu=Graph(2 * n + 1, pairs))
 
 
 def mu_degrees(g: Graph) -> tuple[int, ...]:

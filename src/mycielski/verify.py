@@ -27,7 +27,7 @@ both BFS and thm_dd reads their distances.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -73,11 +73,7 @@ class Failure:
     actual: object
 
     def as_dict(self) -> dict:
-        return {
-            "edges": [list(e) for e in self.edges],
-            "expected": _fmt(self.expected),
-            "actual": _fmt(self.actual),
-        }
+        return _fmt(asdict(self))
 
 
 @dataclass

@@ -235,6 +235,20 @@ class TestRandicBounds:
             assert given.upper == computed.upper
             assert given.is_regular == computed.is_regular
 
+    def test_bounds_are_the_paper_formula_bit_for_bit(self):
+        graphs = [g for n in range(2, 6) for g in enumerate_connected(n)]
+        graphs += [build_family(spec) for spec in ["star:5", "petersen", "kbipartite:3,4",
+                                                   "gnp:300,0.3,7"]]
+        for g in graphs:
+            b, r, n, m = randic_bounds(g), randic(g), g.n, g.m
+            hi, lo = max(g.degrees), min(g.degrees)
+            assert b.lower == r / 2.0 + (math.sqrt(2.0) * m + math.sqrt(n * hi)) / math.sqrt(
+                hi * hi + hi
+            )
+            assert b.upper == r / 2.0 + (math.sqrt(2.0) * m + math.sqrt(n * lo)) / math.sqrt(
+                lo * lo + lo
+            )
+
     @given(connected_graphs())
     @settings(max_examples=50)
     def test_sandwich_holds(self, g):

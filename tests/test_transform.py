@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,22 +82,21 @@ class TestConstruction:
         assert all(
             n + j not in mu.adjacency[n + i] for i in range(n) for j in range(i + 1, n)
         )
-        assert mu.adjacency[layout.root] == tuple(range(n, 2 * n))
-        assert layout.base == g
+        assert mu.adjacency[2 * n] == tuple(range(n, 2 * n))
+        assert [f.name for f in fields(layout)] == ["mu"]  # the base is g itself
 
 
 class TestDegrees:
     def test_root_degree_is_n(self):
-        layout = mycielskian(cycle(4))
-        assert mu_degrees(layout.base)[layout.root] == 4
+        g = cycle(4)
+        assert mu_degrees(g)[2 * g.n] == 4
 
     def test_shadow_degree(self):
-        layout = mycielskian(cycle(4))
-        assert all(mu_degrees(layout.base)[layout.shadow(i)] == 3 for i in range(4))
+        g = cycle(4)
+        assert all(mu_degrees(g)[g.n + i] == 3 for i in range(4))
 
     def test_original_degree_doubles(self):
-        layout = mycielskian(star(4))
-        assert mu_degrees(layout.base)[0] == 8
+        assert mu_degrees(star(4))[0] == 8
 
     @given(connected_graphs())
     @settings(max_examples=50)
@@ -128,20 +129,20 @@ class TestDegrees:
 class TestDistances:
     def test_case_table_on_p5(self):
         g = path(5)
-        layout = mycielskian(g)
         d = mu_distance_matrix(all_pairs_distances(g))
-        root, shadow = layout.root, layout.shadow
+        n = g.n
+        root = 2 * n
         assert d[root, root] == 0
-        assert d[root, shadow(2)] == 1
+        assert d[root, n + 2] == 1
         assert d[root, 2] == 2
-        assert d[shadow(0), shadow(4)] == 2
+        assert d[n, n + 4] == 2
         assert d[0, 1] == 1  # originals at base distance <= 3
         assert d[0, 3] == 3
         assert d[0, 4] == 4  # base distance 4 capped
-        assert d[2, shadow(2)] == 2  # original to its own shadow
-        assert d[0, shadow(1)] == 1  # original to near shadow keeps base distance
-        assert d[0, shadow(2)] == 2
-        assert d[0, shadow(3)] == 3  # base distance >= 3 becomes 3
+        assert d[2, n + 2] == 2  # original to its own shadow
+        assert d[0, n + 1] == 1  # original to near shadow keeps base distance
+        assert d[0, n + 2] == 2
+        assert d[0, n + 3] == 3  # base distance >= 3 becomes 3
 
     def test_long_path_cap(self):
         g = path(6)
