@@ -25,6 +25,7 @@ from .generators import (
     build_family,
     complete,
     complete_bipartite,
+    connected_classes,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
@@ -62,6 +63,7 @@ from .verify import (
     CLAIM_IDS,
     Failure,
     VerificationOutcome,
+    verify_classes,
     verify_corpus,
     verify_graph,
 )

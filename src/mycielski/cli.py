@@ -26,15 +26,15 @@ import errno
 import json
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import generators
 from .errors import EdgeListParseError, GraphError, InvalidParameterError
-from .generators import FAMILIES, build_family, enumerate_connected
+from .generators import FAMILIES, build_family, connected_classes, enumerate_connected
 from .graph import Graph, format_edge_list, read_edge_list
 from .indices import dd_mycielskian_closed, index_report, randic_bounds
 from .transform import mycielskian
-from .verify import CLAIM_IDS, _fmt, verify_corpus
+from .verify import CLAIM_IDS, _fmt, verify_classes, verify_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,19 +93,19 @@ def _cmd_mycielskian(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, format_edge_list(mycielskian(g).mu, comment)
 
 
-def _enumerated(n: int) -> Iterator[Graph]:
+def _ordered(build, n: int):
     try:
-        return enumerate_connected(n)
+        return build(n)
     except InvalidParameterError as exc:
         raise _UsageError(f"bad --enumerate value {n}: {exc}") from exc
 
 
-def _corpus(args: argparse.Namespace) -> Iterable[Graph]:
+def _corpus(args: argparse.Namespace) -> Iterable:
     if args.gnp is None:
         if args.trials is not None:
             raise _UsageError("--trials needs --gnp")
         if args.enumerate is not None:
-            return _enumerated(args.enumerate)
+            return _ordered(connected_classes, args.enumerate)
         return [_load_graph(args)]
     params, _, seed = args.gnp.rpartition(",")
     trials = 1 if args.trials is None else args.trials
@@ -133,15 +133,15 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         if unknown or not claims:
             what = f"unknown claims {sorted(unknown)}" if unknown else "no claims given"
             raise _UsageError(f"{what}; available: {', '.join(CLAIM_IDS)}")
-    corpus = _corpus(args)
-    outcomes = verify_corpus(claims, corpus, relax_diameter=args.relax_diameter)
+    verify = verify_corpus if args.enumerate is None else verify_classes
+    outcomes = verify(claims, _corpus(args), relax_diameter=args.relax_diameter)
     report = [o.as_dict(include_timing=args.timings) for o in outcomes]
     status = EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
     return status, json.dumps(report, indent=2) + "\n"
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
-    return EXIT_OK, "\n".join(map(format_edge_list, _enumerated(args.enumerate)))
+    return EXIT_OK, "\n".join(map(format_edge_list, _ordered(enumerate_connected, args.enumerate)))
 
 
 _SOURCES = {

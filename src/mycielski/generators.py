@@ -8,17 +8,14 @@ stream, so equal inputs give bit-identical edge sets on any platform.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
 
 from .errors import InvalidParameterError, TooLargeError
 from .graph import Graph
-
-# Labeled connected graphs on 2..6 vertices; re-derived by the enumeration
-# test before anything relies on them.
-CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 
 ENUMERATION_CAP = 6
 
@@ -192,24 +189,55 @@ def build_family(spec: str) -> Graph:
     return globals()[builder](*values)
 
 
-def enumerate_connected(n: int) -> Iterator[Graph]:
-    """Yield every labeled connected graph on n vertices, 2 <= n <= 6.
+def connected_classes(n: int) -> list[tuple[Graph, _Labeled]]:
+    """The connected graphs on n vertices, 2 <= n <= 6, by isomorphism class.
 
-    Edge subsets are visited in increasing bitmask order, where bit k
-    toggles the k-th pair in lexicographic order; only connected subsets
-    are yielded. Counts per order: 1, 4, 38, 728, 26704. The order is
-    checked at the call, before anything is yielded.
+    Bit k of an edge mask is the k-th pair in lexicographic order. A class is its
+    smallest-mask ``Graph`` and its members, whose uint16 masks are ``members.masks``,
+    increasing; classes come in increasing mask order. A mask's canonical form, its
+    smallest image under the n! relabellings, is found for all masks at once: per
+    permutation, two 256-entry tables map the low and the high byte to their images.
     """
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"enumeration capped at n = {ENUMERATION_CAP}, got {n}")
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")
-    return _connected_graphs(n)
+    u, v = np.triu_indices(n, 1)  # pair k is (u[k], v[k])
+    index = np.zeros((n, n), dtype=np.intp)
+    index[u, v] = index[v, u] = np.arange(u.size, dtype=np.intp)
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    # weights[p, k]: the bit that pair k moves to under permutation p
+    weights = np.zeros((len(perms), 16), dtype=np.uint16)
+    weights[:, : u.size] = np.uint16(1) << index[perms[:, u], perms[:, v]].astype(np.uint16)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    # a byte's image is the sum, that is the OR, of its set bits' distinct powers of two
+    low, high = weights[:, :8] @ bits.T, weights[:, 8:] @ bits.T
+    canon = np.arange(1 << u.size, dtype=np.uint16)
+    hi, lo = np.divmod(canon.astype(np.intp), 256)  # intp, which numpy gathers unconverted
+    for low_p, high_p in zip(low, high):
+        np.minimum(canon, low_p[lo] | high_p[hi], out=canon)
+    # a stable sort keeps each class's masks increasing, its smallest first
+    masks = np.argsort(canon, kind="stable").astype(np.uint16)
+    groups = np.split(masks, np.flatnonzero(np.diff(canon[masks])) + 1)
+    graphs = _Labeled(n=n, masks=np.array([m[0] for m in groups], dtype=np.uint16))
+    return [(g, _Labeled(n=n, masks=m)) for g, m in zip(graphs, groups) if g.is_connected()]
 
 
-def _connected_graphs(n: int) -> Iterator[Graph]:
-    all_pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(all_pairs)):
-        g = Graph(n, [p for k, p in enumerate(all_pairs) if mask >> k & 1])
-        if g.is_connected():
-            yield g
+class _Labeled(SimpleNamespace):
+    """The labeled graphs on ``n`` vertices of the edge ``masks``, built only when iterated."""
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[Graph]:
+        pairs = list(combinations(range(self.n), 2))
+        for mask in self.masks.tolist():
+            yield Graph(self.n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def enumerate_connected(n: int) -> Iterator[Graph]:
+    """Yield every labeled connected graph on n vertices, 2 <= n <= 6, in increasing
+    edge-mask order (see ``connected_classes``): 1, 4, 38, 728 and 26704 graphs.
+    The order is checked at the call, before anything is yielded."""
+    classes = connected_classes(n)
+    return iter(_Labeled(n=n, masks=np.sort(np.concatenate([m.masks for _, m in classes]))))

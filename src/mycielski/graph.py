@@ -11,9 +11,8 @@ and one loop over that list builds the sorted neighbour tuples, so both
 give equal graphs of Python ints and the same errors.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
-from every source at once: on Python int bitsets up to ``_WORD_MAX_N``
-vertices, on uint64 word bitsets above it, and past a level budget in a
-blocked kernel of bounded neighbour-list gathers. It does integer and
+from every source at once: on uint64 word bitsets, and past a level budget
+in a blocked kernel of bounded neighbour-list gathers. It does integer and
 bitwise arithmetic only and returns the exact distances as a read-only
 ``(n, n)`` int64 array. The brute-force oracles of ``verify`` (obs2,
 thm_dd) run it on the explicitly built Mycielskian.
@@ -178,16 +177,6 @@ def _canonical_rows(n: int, pairs: np.ndarray) -> list[tuple[int, int]] | None:
 _EXACT_ORDER_LIMIT = 55_000
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
-# Graphs up to this order run the Python-int word form (one int bitset per
-# source; at most 64, since each row is read back as one uint64), larger
-# ones the numpy word levels. A Python-int level costs Python steps per
-# edge, a numpy level a fixed cost of a dozen numpy calls. Single-threaded
-# on a 2-core x86 host the Python ints are 1.6-3.1x faster on every shape
-# measured at n = 24 (path, cycle, star, complete, gnp at p = 0.2 and 0.5,
-# a K12 lollipop on a 12-path) and 2.3x at n = 13 (mu of an order-6 graph);
-# at n = 48 gnp(0.5) is even and the lollipop 1.6x faster in numpy, and at
-# n = 64 both gnp densities and the lollipop are faster in numpy.
-_WORD_MAX_N = 24
 # One gather holds about n^2 bytes, an eighth of the int64 result, on a graph
 # of any density: a numpy word level gathers the ceil(n/64)-word rows of this
 # many times n neighbours, a blocked-kernel level that many words of pair keys.
@@ -205,20 +194,16 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     an undirected graph, since a vertex within k + 1 hops of s is s itself
     or within k hops of a neighbour of s. ``d[s, v]`` is the number of
     levels whose row lacks v, which is ``min(dist(s, v), k)`` after k levels
-    and the distance once every row is full. Three forms run this BFS:
+    and the distance once every row is full. Two forms run this BFS:
 
-    - Up to ``_WORD_MAX_N`` vertices a row is one Python int and a level a
-      few int operations per edge, well below the fixed numpy cost of a
-      level; all levels are read in one ``unpackbits`` at the end.
-    - Above it a row is ``ceil(n/64)`` uint64 words of an ``(n, ceil(n/64))``
-      array, a level is one gather of the neighbours' rows and one
-      ``bitwise_or.reduceat`` over the neighbour tuples of ``g.adjacency``
-      laid end to end, and each level's missing bits are added into a
-      level count. A level costs 2m ceil(n/64) word operations plus n^2
-      for reading the bits, so these levels run only while their total
-      stays within n (n + 2m), one sparse BFS from every source
-      (``_word_level_budget``). On a small-diameter graph that is every
-      level.
+    - In the numpy word levels a row is ``ceil(n/64)`` uint64 words of an
+      ``(n, ceil(n/64))`` array, a level is one gather of the neighbours' rows
+      and one ``bitwise_or.reduceat`` over the neighbour tuples of ``g.adjacency``
+      laid end to end, and each level's missing bits are added into a level
+      count. A level costs 2m ceil(n/64) word operations plus n^2 for reading
+      the bits, so these levels run only while their total stays within
+      n (n + 2m), one sparse BFS from every source (``_word_level_budget``).
+      On a small-diameter graph that is every level.
     - Rows still incomplete after that go on in the blocked kernel, 128
       source rows at a time, from the last word level k: the frontier is
       the pairs at distance k and the next level is k + 1 (with no word
@@ -247,8 +232,6 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         raise InvalidParameterError(
             f"n={n} exceeds the exact int64 limit of {_EXACT_ORDER_LIMIT}"
         )
-    if n <= _WORD_MAX_N:
-        return _word_distances(g)
     deg = np.asarray(g.degrees, dtype=np.int64)
     if n > 1 and not deg.all():
         # checked first: reduceat would read an empty neighbour list as the next one
@@ -362,33 +345,6 @@ def _cuts(starts: np.ndarray, total: int, step: int) -> list[int]:
     entries laid end to end from the offsets ``starts``, at most one item more."""
     # not np.unique: its first call imports numpy.ma, tens of ms in a fresh process
     return sorted({*np.searchsorted(starts, np.arange(0, total, step)).tolist(), starts.size})
-
-
-def _word_distances(g: Graph) -> np.ndarray:
-    """The word form of ``all_pairs_distances``, for n <= ``_WORD_MAX_N``."""
-    n = g.n
-    full = (1 << n) - 1
-    rows = [1 << s for s in range(n)]  # R_0[s] = {s}
-    levels = [rows]
-    while min(rows) != full:
-        grown = []
-        for r, nbrs in zip(rows, g.adjacency):
-            if r != full:
-                for v in nbrs:
-                    r |= rows[v]
-            grown.append(r)
-        if grown == rows:
-            raise DisconnectedError("vertex 0 cannot reach the whole graph")
-        rows = grown
-        levels.append(rows)
-    missing = np.fromiter(chain.from_iterable(levels), dtype="<u8", count=len(levels) * n)
-    missing ^= np.uint64(full)
-    bits = np.unpackbits(
-        missing.view(np.uint8).reshape(len(levels), n, 8), axis=-1, count=n, bitorder="little"
-    )
-    d = bits.sum(axis=0, dtype=np.int64)
-    d.setflags(write=False)
-    return d
 
 
 def diameter(g: Graph) -> int:

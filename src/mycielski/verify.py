@@ -10,9 +10,9 @@ Mycielskian mu:
   randic_bounds   lower <= R(mu) <= upper within 1e-9
   randic_equality on regular graphs, R(mu) hits both bounds within 1e-9
 
-Failures carry the full edge list, so any report line can be replayed
-on its own. Corpus runs skip graphs that fall outside a claim's
-hypothesis and report the skip count instead of erroring.
+Failures carry the full edge list, so any report line can be replayed on
+its own. Corpus runs count graphs outside a claim's hypothesis as skipped.
+``verify_classes`` checks each isomorphism class once, weighted by size.
 
 The claims share per-graph values, each computed at most once and only if
 a requested claim needs it: mu(G), the BFS distances of G and of the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -51,6 +51,8 @@ from .indices import (
 from .transform import mu_degrees, mu_distance_matrix, mycielskian
 
 BOUND_TOL = 1e-9
+# one isomorphism class per item: (g, members), the labeled graphs isomorphic to g
+_Classes = Iterable[tuple[Graph, Collection[Graph]]]
 
 
 def _fmt(value):
@@ -218,7 +220,7 @@ CLAIM_IDS = tuple(_CLAIMS)
 
 
 def _run(
-    claims: Iterable[str], corpus: Iterable[Graph], relax_diameter: bool, strict: bool
+    claims: Iterable[str], classes: _Classes, relax_diameter: bool, strict: bool
 ) -> list[VerificationOutcome]:
     requested = set(claims)
     unknown = requested - set(CLAIM_IDS)
@@ -227,21 +229,23 @@ def _run(
     active = [(c, *_CLAIMS[c]) for c in CLAIM_IDS if c in requested]
     outcomes = {c: VerificationOutcome(c) for c, _, _ in active}
 
-    for g in corpus:
+    for g, members in classes:
         shared = _Shared(g, relax_diameter)
         for claim, hypothesis, check in active:
             out = outcomes[claim]
             started = time.perf_counter()
             violation = shared[hypothesis]
             if violation is None:
-                checked, holds, expected, actual = check(g, shared)
-                out.checked += checked
-                if not holds:
-                    out.failures.append(Failure(g.edges, expected, actual))
+                checked, holds, _, _ = check(g, shared)
+                out.checked += checked * len(members)
+                for h in () if holds else members:  # each member's own failure, if g fails
+                    _, holds, expected, actual = check(h, _Shared(h, relax_diameter))
+                    if not holds:
+                        out.failures.append(Failure(h.edges, expected, actual))
             elif strict:
                 raise violation
             else:
-                out.skipped += 1
+                out.skipped += len(members)
             out.elapsed_ms += (time.perf_counter() - started) * 1000.0
 
     for out in outcomes.values():
@@ -261,7 +265,7 @@ def verify_graph(claim: str, g: Graph, *, relax_diameter: bool = False) -> Verif
     matches; outside diameter 2 a mismatch is an observation, not a
     refuted theorem.
     """
-    (out,) = _run([claim], [g], relax_diameter, strict=True)
+    (out,) = _run([claim], [(g, (g,))], relax_diameter, strict=True)
     return out
 
 
@@ -276,4 +280,13 @@ def verify_corpus(
     are counted as skipped for that claim. Failures are sorted by the
     canonical edge encoding so the report is independent of corpus order.
     """
-    return _run(claims, corpus, relax_diameter, strict=False)
+    return _run(claims, ((g, (g,)) for g in corpus), relax_diameter, strict=False)
+
+
+def verify_classes(
+    claims: Iterable[str], classes: _Classes, relax_diameter: bool = False
+) -> list[VerificationOutcome]:
+    """``verify_corpus`` over isomorphism classes ``(g, members)``, members a sized iterable
+    of the labeled graphs isomorphic to g. Each claim is label-free, so it runs on g and
+    counts for ``len(members)`` graphs; if it fails there, it lists the members' failures."""
+    return _run(claims, classes, relax_diameter, strict=False)

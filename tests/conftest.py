@@ -8,6 +8,10 @@ from mycielski.graph import Graph
 
 _MASK64 = (1 << 64) - 1
 
+# Labeled connected graphs on 2..6 vertices (OEIS A001187): the enumeration
+# tests count enumerate_connected against them, and the atlas test its orbit sums.
+CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+
 
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=9):

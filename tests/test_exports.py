@@ -21,7 +21,7 @@ def test_package_exports_exactly_the_public_definitions_of_the_layers():
         and (inspect.isfunction(obj) or inspect.isclass(obj))
         and obj.__module__ == module.__name__
     }
-    assert len(defined) == 43
+    assert len(defined) == 45
     public = defined | {
         "FAMILIES": mycielski.generators.FAMILIES,
         "CLAIM_IDS": mycielski.verify.CLAIM_IDS,

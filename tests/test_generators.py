@@ -18,7 +18,6 @@ from mycielski import generators
 from mycielski.cli import main
 from mycielski.errors import InvalidParameterError, TooLargeError
 from mycielski.generators import (
-    CONNECTED_COUNTS,
     FAMILIES,
     build_family,
     complete,
@@ -32,7 +31,7 @@ from mycielski.generators import (
 )
 from mycielski.graph import diameter
 
-from conftest import scalar_gnp, scalar_pairs, splitmix64
+from conftest import CONNECTED_COUNTS, scalar_gnp, scalar_pairs, splitmix64
 
 # gnp(12, 0.4, 42), frozen at first build; the generator must reproduce it
 # bit-identically forever

@@ -25,12 +25,10 @@ from mycielski.generators import (
 )
 from mycielski.graph import (
     _EXACT_ORDER_LIMIT,
-    _WORD_MAX_N,
     Graph,
     _canonical_rows,
     _cuts,
     _numpy_word_levels,
-    _word_distances,
     _word_level_budget,
     all_pairs_distances,
     diameter,
@@ -99,9 +97,9 @@ SHAPES = {
 
 
 def word_bound_cases():
-    """Every shape at n = 2, _WORD_MAX_N and _WORD_MAX_N + 1, and K1."""
+    """Every shape at n = 2, 24 and 25, and K1: small graphs, each one word per row."""
     yield pytest.param(lambda: Graph(1), id="K1")
-    for n in (2, _WORD_MAX_N, _WORD_MAX_N + 1):
+    for n in (2, 24, 25):
         for name, build in SHAPES.items():
             if n >= 3 or name != "cycle":
                 yield pytest.param(lambda build=build, n=n: build(n), id=f"{name}{n}")
@@ -397,37 +395,20 @@ class TestDistances:
         assert np.array_equal(d, bfs_distances(g))
         assert np.array_equal(d, floyd_warshall(g))
 
-    def test_word_form_runs_up_to_the_bound(self, monkeypatch):
-        orders = []
-        monkeypatch.setattr(
-            "mycielski.graph._word_distances", lambda g: orders.append(g.n) or _word_distances(g)
-        )
-        for g in (Graph(1), path(2), path(_WORD_MAX_N), path(_WORD_MAX_N + 1)):
-            all_pairs_distances(g)
-        assert orders == [1, 2, _WORD_MAX_N]
+    def test_disconnected_small_graphs_rejected(self):
+        for g in (
+            Graph(24, [(v, v + 1) for v in range(23) if v != 5]),
+            Graph(3, [(1, 2)]),
+            Graph(64, [(v, v + 1) for v in range(63) if v != 40]),
+        ):
+            with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+                all_pairs_distances(g)
 
-    def test_disconnected_rejected_below_the_word_bound(self):
-        g = Graph(_WORD_MAX_N, [(v, v + 1) for v in range(_WORD_MAX_N - 1) if v != 5])
-        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
-            all_pairs_distances(g)
-        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
-            all_pairs_distances(Graph(3, [(1, 2)]))
-
-    def test_word_form_is_exact_up_to_64_vertices(self, monkeypatch):
-        # each row is read as one uint64, so 64 is the widest the form allows;
-        # forcing it that far also sets the top bit of the word
-        monkeypatch.setattr("mycielski.graph._WORD_MAX_N", 64)
-        graphs = [mycielskian(g).mu for g in enumerate_connected(4)]
-        graphs += [build(n) for n in (31, 32, 33, 63, 64) for build in SHAPES.values()]
-        graphs += [lollipop(32, 32), giant_component(64, 0.05, 3)]
-        for g in graphs:
-            assert np.array_equal(all_pairs_distances(g), bfs_distances(g))
-        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
-            all_pairs_distances(Graph(64, [(v, v + 1) for v in range(63) if v != 40]))
-
-    @pytest.mark.parametrize("n", [25, 63, 64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("n", [25, 31, 32, 33, 63, 64, 65, 127, 128, 129])
     def test_numpy_words_match_references_at_word_widths(self, n):
-        graphs = [build(n) for build in SHAPES.values()] + [giant_component(n, 0.05, n)]
+        # 64 sets the top bit of a row's one word
+        graphs = [build(n) for build in SHAPES.values()]
+        graphs += [giant_component(n, 0.05, seed) for seed in (3, n)]
         for g in graphs:
             d = all_pairs_distances(g)
             assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
@@ -541,11 +522,10 @@ class TestDistances:
 
     @pytest.mark.parametrize("gather_edges", [None, 1], ids=["default_gather", "tiny_gather"])
     def test_blocked_kernel_alone_is_exact(self, gather_edges, monkeypatch):
-        # a word bound and a word-level budget of 0 send every graph through
-        # the kernel alone. With a gather of n ceil(n/64) edges instead of 8
-        # times that, most levels go in parts, and a pair found by one part
-        # must not be found again by the next.
-        monkeypatch.setattr("mycielski.graph._WORD_MAX_N", 0)
+        # a word-level budget of 0 sends every graph through the kernel
+        # alone. With a gather of n ceil(n/64) edges instead of 8 times that,
+        # most levels go in parts, and a pair found by one part must not be
+        # found again by the next.
         monkeypatch.setattr("mycielski.graph._word_level_budget", lambda n, m: 0)
         calls = []
 

@@ -11,7 +11,8 @@ The atlas tests take one graph per isomorphism class from networkx's graph
 atlas, weighted by its orbit n!/|Aut| (the labeled graphs isomorphic to
 it), since the paper's claims do not depend on labels. The orbit sums
 re-derive ``CONNECTED_COUNTS`` and the 1,866,256 connected graphs of order
-7. At order 6 the weighted counts of ``verify_corpus`` rebuild the pinned
+7. For orders 2 to 6 they are the classes of ``connected_classes``, with the
+same orbit sizes. At order 6 the weighted counts of ``verify_corpus`` rebuild the pinned
 ``verify --enumerate 6`` report from a corpus that does not come from
 ``enumerate_connected``. At order 7 every claim is checked on each class
 against networkx's Mycielskian, BFS and degrees, and the weighted counts
@@ -28,9 +29,9 @@ import numpy as np
 import pytest
 
 from mycielski.generators import (
-    CONNECTED_COUNTS,
     build_family,
     complete_bipartite,
+    connected_classes,
     cycle,
     enumerate_connected,
     petersen,
@@ -47,6 +48,8 @@ from mycielski.indices import (
 )
 from mycielski.transform import mu_degrees, mu_distance_matrix, mycielskian
 from mycielski.verify import BOUND_TOL, CLAIM_IDS, verify_corpus
+
+from conftest import CONNECTED_COUNTS
 
 PINNED_N6 = Path(__file__).parent / "expected" / "verify_enumerate_6.json"
 
@@ -174,6 +177,23 @@ def test_atlas_orbit_sums_are_the_connected_counts(atlas_classes):
         sums[len(h)] += orbit
     # order 7: OEIS A001187, beyond the enumeration cap
     assert (len(atlas_classes), sums) == (142 + 853, {**CONNECTED_COUNTS, 7: 1_866_256})
+
+
+def test_connected_classes_are_the_atlas_classes(atlas_classes):
+    found, wrong = {}, []
+    for n in range(2, 7):
+        atlas = [(h, orbit) for h, orbit in atlas_classes if len(h) == n]
+        classes = connected_classes(n)
+        found[n] = len(classes)
+        assert sorted(len(members) for _, members in classes) == sorted(o for _, o in atlas)
+        for g, members in classes:
+            h = nx_graph(g)
+            if sum(nx.is_isomorphic(h, a) for a, _ in atlas if a.size() == g.m) != 1:
+                wrong.append(g)
+            # every member is one labeling of the class, up to order 5
+            if n <= 5 and not all(nx.is_isomorphic(h, nx_graph(x)) for x in members):
+                wrong.append(g)
+    assert (found, wrong) == ({2: 1, 3: 2, 4: 6, 5: 21, 6: 112}, [])
 
 
 def test_atlas_classes_rebuild_the_pinned_n6_report(atlas_classes):

@@ -15,7 +15,8 @@
   what it shares with the other claims in a full run.
 
 The costlier pins (the n=6 verification report, with and without
---timings, and compute on path:3000) are in tests/check_pinned_outputs.sh.
+--timings and over every labeled graph, and compute on path:3000) are in
+tests/check_pinned_outputs.sh.
 """
 
 import hashlib

@@ -12,6 +12,7 @@ from mycielski.errors import (
 from mycielski.generators import (
     build_family,
     complete,
+    connected_classes,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
@@ -21,7 +22,7 @@ from mycielski.generators import (
 )
 from mycielski.graph import Graph
 from mycielski.transform import mu_degrees, mu_distance_matrix
-from mycielski.verify import CLAIM_IDS, verify_corpus, verify_graph
+from mycielski.verify import CLAIM_IDS, verify_classes, verify_corpus, verify_graph
 
 
 class TestSingleGraphChecks:
@@ -195,6 +196,43 @@ def _record_calls(monkeypatch, name):
 
     monkeypatch.setattr(verify, name, recorded)
     return calls
+
+
+class TestClasses:
+    """One check per isomorphism class gives the labeled corpus's report."""
+
+    @pytest.mark.parametrize("relax", [False, True], ids=["strict", "relaxed"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_class_path_matches_the_labeled_path(self, n, relax):
+        labeled = verify_corpus(CLAIM_IDS, enumerate_connected(n), relax_diameter=relax)
+        by_class = verify_classes(CLAIM_IDS, connected_classes(n), relax_diameter=relax)
+        assert [o.as_dict(include_timing=False) for o in by_class] == [
+            o.as_dict(include_timing=False) for o in labeled
+        ]
+        # the relaxed thm_dd fails on some classes, and all their members are listed
+        failures = sum(len(o.failures) for o in labeled)
+        assert failures == {(5, True): 360, (4, True): 12}.get((n, relax), 0)
+
+    def test_members_are_built_only_for_a_failing_check(self):
+        class Counted:
+            def __init__(self, members):
+                self.members, self.reads = members, 0
+
+            def __len__(self):
+                return len(self.members)
+
+            def __iter__(self):
+                self.reads += 1
+                return iter(self.members)
+
+        classes = [(g, Counted(members)) for g, members in connected_classes(4)]
+        verify_classes(CLAIM_IDS, classes)
+        assert [c.reads for _, c in classes] == [0] * 6
+        (out,) = verify_classes(["thm_dd"], classes, relax_diameter=True)
+        failing = {f.edges for f in out.failures}
+        assert [c.reads for _, c in classes] == [
+            int(any(h.edges in failing for h in c.members)) for _, c in classes
+        ]
 
 
 class TestSharedWork:
