@@ -404,11 +404,21 @@ class TestDistances:
             with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
                 all_pairs_distances(g)
 
-    @pytest.mark.parametrize("n", [25, 31, 32, 33, 63, 64, 65, 127, 128, 129])
+    def test_word_form_is_exact_up_to_64_vertices(self, monkeypatch):
+        # every row is one uint64 word, and at 64 vertices its top bit is set;
+        # with no budget every level runs in words, none in the blocked kernel
+        monkeypatch.setattr("mycielski.graph._word_level_budget", unlimited_budget)
+        graphs = [mycielskian(g).mu for g in enumerate_connected(4)]
+        graphs += [build(n) for n in (31, 32, 33, 63, 64) for build in SHAPES.values()]
+        graphs += [lollipop(32, 32), giant_component(64, 0.05, 3)]
+        for g in graphs:
+            assert np.array_equal(all_pairs_distances(g), bfs_distances(g))
+        with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+            all_pairs_distances(Graph(64, [(v, v + 1) for v in range(63) if v != 40]))
+
+    @pytest.mark.parametrize("n", [25, 63, 64, 65, 127, 128, 129])
     def test_numpy_words_match_references_at_word_widths(self, n):
-        # 64 sets the top bit of a row's one word
-        graphs = [build(n) for build in SHAPES.values()]
-        graphs += [giant_component(n, 0.05, seed) for seed in (3, n)]
+        graphs = [build(n) for build in SHAPES.values()] + [giant_component(n, 0.05, n)]
         for g in graphs:
             d = all_pairs_distances(g)
             assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
