@@ -13,10 +13,10 @@ The report is written, to stdout or ``--output``, once the subcommand
 finishes with status 0 or 4; any other status leaves an existing
 ``--output`` file as it was.
 
-Exit status: 0 success, 1 usage error (an ``--output`` that cannot be
-opened included; one that is empty, a directory or in a missing
-directory is found before any work), 2 input error (unreadable, not
-UTF-8 or malformed), 3 hypothesis violation, 4 verification failure.
+Exit status: 0 success, 1 usage error (an ``--output`` that cannot be opened
+included; one that is empty, a directory, or under a missing directory or a
+regular file is found before any work), 2 input error (unreadable, not UTF-8
+or malformed), 3 hypothesis violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -189,12 +189,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.output is not None:
-            # an empty --output, a directory or one in a missing directory fails before any work
+            # an empty --output, a directory or one not in a directory fails before any work
             try:
                 if not args.output or os.path.isdir(args.output):
                     code = errno.EISDIR if args.output else errno.ENOENT
                     raise OSError(code, os.strerror(code))
-                os.stat(os.path.dirname(args.output.rstrip(os.sep)) or ".")
+                # the trailing separator makes a regular file fail with ENOTDIR, as open would
+                os.stat((os.path.dirname(args.output.rstrip(os.sep)) or ".") + os.sep)
             except OSError as exc:
                 err = OSError(exc.errno, exc.strerror, args.output)  # worded as open's error
                 raise _UsageError(f"cannot write {args.output}: {err}") from exc

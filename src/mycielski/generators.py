@@ -194,9 +194,9 @@ def connected_classes(n: int) -> list[tuple[Graph, _Labeled]]:
 
     Bit k of an edge mask is the k-th pair in lexicographic order. A class is its
     smallest-mask ``Graph`` and its members, whose uint16 masks are ``members.masks``,
-    increasing; classes come in increasing mask order. A mask's canonical form, its
-    smallest image under the n! relabellings, is found for all masks at once: per
-    permutation, two 256-entry tables map the low and the high byte to their images.
+    increasing; classes come in increasing mask order. The classes are found by an
+    orbit sweep: the smallest mask in no class yet is the smallest of its own orbit,
+    whose members are that mask's distinct images under the n! relabellings.
     """
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"enumeration capped at n = {ENUMERATION_CAP}, got {n}")
@@ -207,18 +207,16 @@ def connected_classes(n: int) -> list[tuple[Graph, _Labeled]]:
     index[u, v] = index[v, u] = np.arange(u.size, dtype=np.intp)
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     # weights[p, k]: the bit that pair k moves to under permutation p
-    weights = np.zeros((len(perms), 16), dtype=np.uint16)
-    weights[:, : u.size] = np.uint16(1) << index[perms[:, u], perms[:, v]].astype(np.uint16)
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
-    # a byte's image is the sum, that is the OR, of its set bits' distinct powers of two
-    low, high = weights[:, :8] @ bits.T, weights[:, 8:] @ bits.T
-    canon = np.arange(1 << u.size, dtype=np.uint16)
-    hi, lo = np.divmod(canon.astype(np.intp), 256)  # intp, which numpy gathers unconverted
-    for low_p, high_p in zip(low, high):
-        np.minimum(canon, low_p[lo] | high_p[hi], out=canon)
-    # a stable sort keeps each class's masks increasing, its smallest first
-    masks = np.argsort(canon, kind="stable").astype(np.uint16)
-    groups = np.split(masks, np.flatnonzero(np.diff(canon[masks])) + 1)
+    weights = np.uint16(1) << index[perms[:, u], perms[:, v]].astype(np.uint16)
+    unseen = np.ones(1 << u.size, dtype=bool)
+    groups = []
+    while unseen.any():
+        mask = int(unseen.argmax())
+        # an image is the sum, that is the OR, of the distinct bits the mask's pairs move to
+        images = np.sort(weights[:, [k for k in range(u.size) if mask >> k & 1]]
+                         .sum(axis=1, dtype=np.uint16))
+        groups.append(images[np.concatenate(([True], images[1:] != images[:-1]))])
+        unseen[groups[-1]] = False
     graphs = _Labeled(n=n, masks=np.array([m[0] for m in groups], dtype=np.uint16))
     return [(g, _Labeled(n=n, masks=m)) for g, m in zip(graphs, groups) if g.is_connected()]
 

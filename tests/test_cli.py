@@ -318,8 +318,9 @@ class TestExitStatuses:
         [
             ("out", "[Errno 21] Is a directory: '{}'"),
             ("", "[Errno 2] No such file or directory: ''"),
+            ("file/x.json", "[Errno 20] Not a directory: '{}'"),
         ],
-        ids=["directory", "empty"],
+        ids=["directory", "empty", "file-parent"],
     )
     def test_refused_output_path_fails_before_the_run(
         self, target, error, monkeypatch, tmp_path, capsys
@@ -329,6 +330,7 @@ class TestExitStatuses:
 
         monkeypatch.setattr("mycielski.cli._cmd_verify", never)
         (tmp_path / "out").mkdir()
+        (tmp_path / "file").write_text("")
         if target:
             target = str(tmp_path / target)
         assert run_cli("verify", "--enumerate", "6", "--output", target) == (1, "")
@@ -336,7 +338,7 @@ class TestExitStatuses:
         assert capsys.readouterr().err == (
             f"mycielski: error: cannot write {target}: {error.format(target)}\n"
         )
-        assert [p.name for p in tmp_path.rglob("*")] == ["out"]  # nothing created
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "out"]  # nothing created
 
     @pytest.mark.parametrize("claims", [",", ""], ids=["comma", "empty"])
     def test_empty_claims_are_a_usage_error(self, claims):

@@ -6,7 +6,7 @@ import sys
 import time
 import warnings
 from collections import deque
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from mycielski.generators import (
     build_family,
     complete,
     complete_bipartite,
+    connected_classes,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
@@ -335,6 +336,30 @@ class TestEnumeration:
             return found
 
         assert [g.edges for g in enumerate_connected(4)] == connected_subsets(4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_classes_are_the_orbits_of_their_representatives(self, n):
+        # each class's masks are its representative's images, relabelled edge by edge
+        pairs = list(combinations(range(n), 2))
+        bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+        classes = connected_classes(n)
+        reps = [int(members.masks[0]) for _, members in classes]
+        assert all(a < b for a, b in zip(reps, reps[1:]))
+        seen = set()
+        for g, members in classes:
+            assert members.masks.dtype == np.uint16
+            masks = members.masks.tolist()
+            edges = [pair for pair in pairs if masks[0] & bit[pair]]
+            assert g.edges == tuple(edges)
+            orbit = {
+                sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+                for p in permutations(range(n))
+            }
+            # the distinct images, strictly increasing, so the representative is first
+            assert masks == sorted(orbit)
+            assert seen.isdisjoint(orbit)
+            seen |= orbit
+        assert len(seen) == CONNECTED_COUNTS[n]
 
     def test_out_of_range(self):
         with pytest.raises(TooLargeError):
