@@ -84,18 +84,15 @@ class Graph:
                     raise InvalidParameterError(f"edge {pair!r} is not a (u, v) pair") from exc
                 if not (type(u) is int is type(v)):
                     u, v = _vertex_ids(u, v)
-                # one order test picks the end to range-check, so a valid pair
-                # costs 3-4 comparisons besides the type test
                 if u < v:
-                    if u < 0 or v >= n:
-                        raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-                    seen.add((u, v))
+                    lo, hi = u, v
                 elif v < u:
-                    if v < 0 or u >= n:
-                        raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-                    seen.add((v, u))
+                    lo, hi = v, u
                 else:
                     raise SelfLoopError(f"self-loop at vertex {u}")
+                if lo < 0 or hi >= n:
+                    raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+                seen.add((lo, hi))
             edges = sorted(seen)
         # in canonical edge order every neighbour list fills in increasing order
         neighbors: list[list[int]] = [[] for _ in range(n)]

@@ -5,10 +5,12 @@ value asserted here was first reproduced by the brute-force oracle (BFS
 distances on the explicitly constructed Mycielskian) before being pinned.
 """
 
+import json
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +34,9 @@ from mycielski.indices import (
     wiener,
 )
 from mycielski.transform import mycielskian
-from mycielski.verify import verify_corpus
+from mycielski.verify import CLAIM_IDS, verify_corpus
+
+EXPECTED = Path(__file__).resolve().parent / "expected"
 
 
 @contextmanager
@@ -53,8 +57,9 @@ def small_corpus(orders):
 
 @pytest.fixture(scope="module")
 def exhaustive_n6_results():
-    # one streaming pass over all 26704 graphs serves criteria 2 and 3
-    outcomes = verify_corpus(["lemma3", "thm_dd"], enumerate_connected(6))
+    # one streaming pass of every claim over all 26704 labeled graphs serves
+    # criteria 2 and 3 and the labeled n=6 report
+    outcomes = verify_corpus(CLAIM_IDS, enumerate_connected(6))
     return {o.claim: o for o in outcomes}
 
 
@@ -99,6 +104,15 @@ def test_criterion_3_distance2_identity_exhaustive(exhaustive_n6_results):
         extended = exhaustive_n6_results["lemma3"]
         assert extended.failures == []
         assert extended.checked == 10923
+
+
+def test_labeled_n6_report_matches_the_pinned_class_report(exhaustive_n6_results):
+    # verify --enumerate 6 checks one labeling per isomorphism class; every
+    # labeling must give the same report, byte for byte
+    with criterion("labeled n=6 report equals the pinned verify --enumerate 6 report"):
+        outcomes = exhaustive_n6_results.values()
+        report = json.dumps([o.as_dict(include_timing=False) for o in outcomes], indent=2) + "\n"
+        assert report.encode() == (EXPECTED / "verify_enumerate_6.json").read_bytes()
 
 
 def test_criterion_4_named_case_regressions():

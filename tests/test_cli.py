@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -319,8 +320,12 @@ class TestExitStatuses:
             ("out", "[Errno 21] Is a directory: '{}'"),
             ("", "[Errno 2] No such file or directory: ''"),
             ("file/x.json", "[Errno 20] Not a directory: '{}'"),
+            ("file" + os.sep, "[Errno 21] Is a directory: '{}'"),
+            ("missing" + os.sep, "[Errno 21] Is a directory: '{}'"),
+            (os.path.join("missing", "x") + os.sep, "[Errno 2] No such file or directory: '{}'"),
         ],
-        ids=["directory", "empty", "file-parent"],
+        ids=["directory", "empty", "file-parent", "file-trailing-sep", "missing-trailing-sep",
+             "missing-parent-trailing-sep"],
     )
     def test_refused_output_path_fails_before_the_run(
         self, target, error, monkeypatch, tmp_path, capsys
@@ -332,7 +337,8 @@ class TestExitStatuses:
         (tmp_path / "out").mkdir()
         (tmp_path / "file").write_text("")
         if target:
-            target = str(tmp_path / target)
+            # pathlib drops a trailing separator, which the -trailing-sep cases keep
+            target = str(tmp_path / target) + os.sep * target.endswith(os.sep)
         assert run_cli("verify", "--enumerate", "6", "--output", target) == (1, "")
         # worded as the late error open(target, "w") gives
         assert capsys.readouterr().err == (

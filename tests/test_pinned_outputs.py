@@ -1,10 +1,13 @@
-"""Pinned outputs cheap enough for Tier-1, each checked byte for byte.
+"""Pinned outputs, each checked byte for byte.
 
 - each demo's stdout against demos/expected/ (the demo must also exit 0);
 - the compute reports against tests/expected/. APSP runs in numpy word
   levels alone on the two gnp graphs and is handed off to the blocked
-  kernel on cycle:1000;
+  kernel on cycle:1000 and on path:3000, whose diameter is 2,999;
 - two compute CSV reports against tests/expected/;
+- the n=6 verification report against tests/expected/, which must exit 0,
+  and the same report with --timings: every elapsed_ms above 0 and the
+  records equal to the pinned ones once it is set to 0;
 - by sha256, outputs too large to commit: the n=6 enumeration (995,257
   bytes), the Mycielskians of the two benchmark gnp graphs (308,386 and
   263,422 bytes; each edge list holds every edge of G in order, so these
@@ -14,9 +17,11 @@
   the full n=5 report, since a claim run alone must compute for itself
   what it shares with the other claims in a full run.
 
-The costlier pins (the n=6 verification report, with and without
---timings and over every labeled graph, and compute on path:3000) are in
-tests/check_pinned_outputs.sh.
+The one other pin is in tests/test_acceptance.py: the report of every
+claim over all 26,704 labeled graphs of order 6 must equal the pinned n=6
+report, which verify --enumerate builds from one graph per isomorphism
+class. It reads that module's one labeled n=6 sweep, which also serves
+acceptance criteria 2 and 3.
 """
 
 import hashlib
@@ -34,6 +39,7 @@ from mycielski.verify import CLAIM_IDS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+VERIFY_6 = ROOT / "tests" / "expected" / "verify_enumerate_6.json"
 
 
 def run_cli(*args):
@@ -56,6 +62,7 @@ def test_demo_output(demo):
         ("gnp:1000,0.02,7", "json"),
         ("gnp:300,0.3,7", "json"),
         ("cycle:1000", "json"),
+        ("path:3000", "json"),
         ("gnp:300,0.3,7", "csv"),
         ("petersen", "csv"),
     ],
@@ -63,6 +70,18 @@ def test_demo_output(demo):
 def test_compute_report(spec, fmt):
     expected = ROOT / "tests" / "expected" / f"compute_{spec.replace(':', '_')}.{fmt}"
     assert run_cli("compute", "--format", fmt, "--family", spec) == (0, expected.read_bytes())
+
+
+def test_verify_report():
+    assert run_cli("verify", "--enumerate", "6") == (0, VERIFY_6.read_bytes())
+
+
+def test_verify_report_with_timings():
+    status, out = run_cli("verify", "--enumerate", "6", "--timings")
+    records = json.loads(out)
+    assert status == 0
+    assert all(r["elapsed_ms"] > 0 for r in records)
+    assert [dict(r, elapsed_ms=0) for r in records] == json.loads(VERIFY_6.read_bytes())
 
 
 @pytest.mark.parametrize(
