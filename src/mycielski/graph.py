@@ -14,8 +14,8 @@ give equal graphs of Python ints and the same errors.
 from every source at once: on uint64 word bitsets, and past a level budget
 in a blocked kernel of bounded neighbour-list gathers. It does integer and
 bitwise arithmetic only and returns the exact distances as a read-only
-``(n, n)`` int64 array. The brute-force oracles of ``verify`` (obs2,
-thm_dd) run it on the explicitly built Mycielskian.
+``(n, n)`` uint16 array, the level count itself. The brute-force oracles
+of ``verify`` (obs2, thm_dd) run it on the explicitly built Mycielskian.
 """
 
 from __future__ import annotations
@@ -172,9 +172,11 @@ def _canonical_rows(n: int, pairs: np.ndarray) -> list[tuple[int, int]] | None:
 # APSP. The largest, the degree distance, is bounded by n^4, and
 # 55000^4 < 2^63, so anything at or below this order stays exact.
 _EXACT_ORDER_LIMIT = 55_000
+# A pair the blocked kernel has not reached: above every distance and level count
+_UNSEEN = np.uint16(0xFFFF)
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
-# One gather holds about n^2 bytes, an eighth of the int64 result, on a graph
+# One gather holds about n^2 bytes, half the uint16 result, on a graph
 # of any density: a numpy word level gathers the ceil(n/64)-word rows of this
 # many times n neighbours, a blocked-kernel level that many words of pair keys.
 _GATHER_EDGES = 8
@@ -183,7 +185,8 @@ _GATHER_EDGES = 8
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances by a level-synchronous BFS from every source.
 
-    Returns a read-only ``(n, n)`` int64 array of exact distances.
+    Returns a read-only ``(n, n)`` uint16 array of exact distances, each
+    below n <= ``_EXACT_ORDER_LIMIT`` < 2^16; cast it before signed arithmetic.
 
     Each source s keeps the set R_k[s] of vertices within k hops as a
     bitset, and every row advances at once:
@@ -210,10 +213,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
       seen before. It costs the frontier's edge count, so the kernel stays
       within O(n (n + m)) for any diameter.
 
-    Memory is the n x n int64 result. The numpy word levels add two word
-    arrays of n^2/8 bytes, a uint16 level count of 2 n^2 bytes (freed
-    before the kernel runs), the n^2 bytes of one level's unpacked bits and
-    the gathered rows of one vertex chunk (see ``_GATHER_EDGES``). The
+    Memory is the 2 n^2 bytes of the uint16 result, which is the word
+    levels' level count, with no int64 copy. The numpy word levels add two
+    word arrays of n^2/8 bytes, the n^2 bytes of one level's unpacked bits
+    and the gathered rows of one vertex chunk (see ``_GATHER_EDGES``). The
     blocked kernel adds O(128 n) per level and a few int64 arrays over one
     part's gathered edges, about n^2 / 8 of them.
 
@@ -241,7 +244,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         rows = d[lo : lo + _BLOCK_ROWS]
         b = len(rows)
         flat = rows.reshape(-1)  # a view: rows of d are contiguous
-        reached = np.count_nonzero(flat >= 0)
+        reached = np.count_nonzero(flat != _UNSEEN)
         if reached == b * n:
             continue
         keys = np.flatnonzero(flat == last)  # pair (s, v) is (s - lo)*n + v
@@ -262,7 +265,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
                 cand = nbr[cand]
                 cand += np.repeat(keys[a:z] - v[a:z], cnt[a:z])
                 # sorted and deduplicated in place, not by np.unique (see _cuts)
-                new = cand[flat[cand] < 0]
+                new = cand[flat[cand] == _UNSEEN]
                 new.sort()
                 first = np.ones(new.size, dtype=bool)
                 first[1:] = new[1:] != new[:-1]
@@ -296,12 +299,11 @@ def _numpy_word_levels(
     ``r[nbr]`` and one ``bitwise_or.reduceat`` over the neighbour lists
     (none may be empty), in vertex chunks of about ``_GATHER_EDGES`` * n
     gathered rows. Before each level the bits missing from R_k are added
-    into a uint16 count, so it holds ``min(dist(s, v), k)``; the count is
-    read into the int64 ``d`` once, after the last level.
+    into the uint16 count ``d``, so it holds ``min(dist(s, v), k)``.
 
     Returns ``(d, k)`` with ``d`` exact where the distance is at most k and
-    -1 elsewhere: the whole matrix once every row is full, else the state
-    after ``budget`` levels for the blocked kernel to resume from.
+    ``_UNSEEN`` elsewhere: the whole matrix once every row is full, else the
+    state after ``budget`` levels for the blocked kernel to resume from.
     """
     words = -(-n // 64)
     r = np.zeros((n, 8 * words), dtype=np.uint8)
@@ -319,10 +321,10 @@ def _numpy_word_levels(
     def missing(r: np.ndarray) -> np.ndarray:
         return np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
 
-    counts = np.zeros((n, n), dtype=np.uint16)  # fewer than n <= 55,000 levels run
+    d = np.zeros((n, n), dtype=np.uint16)  # fewer than n <= 55,000 levels run
     k = 0
     while not (r == full).all() and k < budget:
-        counts += missing(r)
+        d += missing(r)
         for a, b, chunk_nbr, offsets in chunks:
             gathered = np.take(r, chunk_nbr, axis=0)
             np.bitwise_or(r[a:b], np.bitwise_or.reduceat(gathered, offsets), out=grown[a:b])
@@ -330,10 +332,8 @@ def _numpy_word_levels(
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
         r, grown = grown, r
         k += 1
-    d = counts.astype(np.int64)
-    del counts
     if k == budget:
-        np.copyto(d, -1, where=missing(r).view(bool))
+        np.copyto(d, _UNSEEN, where=missing(r).view(bool))
     return d, k
 
 

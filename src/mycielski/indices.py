@@ -1,10 +1,10 @@
 """Degree- and distance-based topological indices.
 
-Distance-based indices are exact integers, summed in int64 over the
-distances of ``all_pairs_distances``, which refuses any order too large
-for those sums to stay exact. Randić-type quantities are doubles
-accumulated left to right over the canonically sorted edge list, so
-repeated runs produce bit-identical values.
+Distance-based indices are exact integers, summed from the int64 row sums
+of ``all_pairs_distances`` (W and DD share one pass over the matrix), which
+refuses any order too large for those sums to stay exact. Randić-type
+quantities are doubles accumulated left to right over the canonically
+sorted edge list, so repeated runs produce bit-identical values.
 
 ``dd_mycielskian_closed`` is the paper's degree-distance theorem as a
 bare polynomial of four indices of G. It runs no BFS and checks no
@@ -24,19 +24,18 @@ from .errors import InvalidParameterError, NoEdgesError
 from .graph import Graph, all_pairs_distances
 
 
-def _wiener(d: np.ndarray) -> int:
-    return int(d.sum(dtype=np.int64)) // 2
+def _wiener(rows: np.ndarray) -> int:
+    return int(rows.sum()) // 2
 
 
-def _degree_distance(g: Graph, d: np.ndarray) -> int:
-    """Pair sum of d(u, v) (deg u + deg v), regrouped by the symmetric rows of d."""
-    deg = np.asarray(g.degrees, dtype=np.int64)
-    return int(deg @ d.sum(axis=1, dtype=np.int64))
+def _degree_distance(g: Graph, rows: np.ndarray) -> int:
+    """Pair sum of d(u, v) (deg u + deg v), regrouped by ``rows``, the row sums of symmetric d."""
+    return int(np.asarray(g.degrees, dtype=np.int64) @ rows)
 
 
 def wiener(g: Graph) -> int:
     """Sum of hop distances over all unordered vertex pairs."""
-    return _wiener(all_pairs_distances(g))
+    return _wiener(all_pairs_distances(g).sum(axis=1, dtype=np.int64))
 
 
 def first_zagreb(g: Graph) -> int:
@@ -57,7 +56,7 @@ def randic(g: Graph) -> float:
 
 def degree_distance(g: Graph) -> int:
     """Sum over unordered pairs of ``d(u, v) * (deg(u) + deg(v))``."""
-    return _degree_distance(g, all_pairs_distances(g))
+    return _degree_distance(g, all_pairs_distances(g).sum(axis=1, dtype=np.int64))
 
 
 def _distance2_degree_sum(g: Graph, d: np.ndarray) -> int:
@@ -138,12 +137,13 @@ class IndexReport:
 def index_report(g: Graph) -> IndexReport:
     """Compute all indices from one shared distance matrix."""
     d = all_pairs_distances(g)
+    rows = d.sum(axis=1, dtype=np.int64)
     return IndexReport(
         n=g.n,
         m=g.m,
         diameter=int(d.max()),
-        wiener=_wiener(d),
+        wiener=_wiener(rows),
         zagreb_m1=first_zagreb(g),
         randic=randic(g),
-        degree_distance=_degree_distance(g, d),
+        degree_distance=_degree_distance(g, rows),
     )

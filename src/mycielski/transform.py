@@ -72,7 +72,7 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
       original- shadow, i != j    d(i, j) if d(i, j) <= 2 else 3
 
     The result agrees entrywise with BFS on the constructed Mycielskian
-    and is a read-only int64 array. A non-square ``dg`` raises
+    and is a read-only uint16 array. A non-square ``dg`` raises
     InvalidParameterError, and K1's ``[[0]]`` TooSmallError: mu(K1) has an
     isolated vertex.
     """
@@ -82,7 +82,7 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
     if n == 1:
         raise TooSmallError("vertex 0 is isolated, so mu(G) is disconnected")
     size = 2 * n + 1
-    d = np.full((size, size), 2, dtype=np.int64)  # root-original, shadow-shadow
+    d = np.full((size, size), 2, dtype=np.uint16)  # root-original, shadow-shadow
     d[:n, :n] = np.minimum(dg, 4)
     cross = np.minimum(dg, 3)
     np.fill_diagonal(cross, 2)

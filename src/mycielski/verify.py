@@ -188,9 +188,9 @@ def _check_lemma3(g: Graph, shared: _Shared):
 
 
 def _check_thm_dd(g: Graph, shared: _Shared):
-    dd = _degree_distance(g, shared["dg"])
+    dd = _degree_distance(g, shared["dg"].sum(axis=1, dtype=np.int64))
     closed = dd_mycielskian_closed(g.n, g.m, first_zagreb(g), dd)
-    brute = _degree_distance(shared["mu"], shared["dmu"])
+    brute = _degree_distance(shared["mu"], shared["dmu"].sum(axis=1, dtype=np.int64))
     return 1, closed == brute, brute, closed
 
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from mycielski.generators import (
 )
 from mycielski.graph import (
     _EXACT_ORDER_LIMIT,
+    _UNSEEN,
     Graph,
     _canonical_rows,
     _cuts,
@@ -367,7 +369,7 @@ class TestDistances:
     def test_matches_references_across_block_boundaries(self, n):
         for g in (erdos_renyi_connected(n, 0.05, n), cycle(n), giant_component(n, 0.02, n)):
             d = all_pairs_distances(g)
-            assert d.dtype == np.int64 and not d.flags.writeable
+            assert d.dtype == np.uint16 and not d.flags.writeable
             assert np.array_equal(d, bfs_distances(g))
             assert np.array_equal(d, floyd_warshall(g))
 
@@ -391,7 +393,7 @@ class TestDistances:
     def test_matches_references_around_the_word_bound(self, build):
         g = build()
         d = all_pairs_distances(g)
-        assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
+        assert d.dtype == np.uint16 and d.shape == (g.n, g.n) and not d.flags.writeable
         assert np.array_equal(d, bfs_distances(g))
         assert np.array_equal(d, floyd_warshall(g))
 
@@ -421,7 +423,7 @@ class TestDistances:
         graphs = [build(n) for build in SHAPES.values()] + [giant_component(n, 0.05, n)]
         for g in graphs:
             d = all_pairs_distances(g)
-            assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
+            assert d.dtype == np.uint16 and d.shape == (g.n, g.n) and not d.flags.writeable
             assert np.array_equal(d, bfs_distances(g))
             assert np.array_equal(d, floyd_warshall(g))
 
@@ -497,13 +499,13 @@ class TestDistances:
 
         def recorded(*args):
             d, k = _numpy_word_levels(*args)
-            handoffs.append((k, bool((d < 0).any())))
+            handoffs.append((k, bool((d == _UNSEEN).any())))
             return d, k
 
         monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
         g = build()
         d = all_pairs_distances(g)
-        assert d.dtype == np.int64 and not d.flags.writeable
+        assert d.dtype == np.uint16 and not d.flags.writeable
         assert np.array_equal(d, bfs_distances(g))
         assert np.array_equal(d, floyd_warshall(g))
         # the word levels stop at the budget, or at the diameter with every row full
@@ -520,7 +522,7 @@ class TestDistances:
 
         def recorded(*args):
             d, k = _numpy_word_levels(*args)
-            handoffs.append((k, bool((d < 0).any())))
+            handoffs.append((k, bool((d == _UNSEEN).any())))
             return d, k
 
         monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
@@ -574,11 +576,35 @@ class TestDistances:
         assert np.array_equal(d, expected)
         assert elapsed < 30.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: cycle(1000), lambda: path(600)],
+        ids=["gnp1000_0.02", "cycle1000", "path600"],
+    )
+    def test_result_is_the_uint16_level_count(self, build):
+        # the level count is the result: it holds 2 n^2 bytes of numpy data,
+        # and with no int64 copy of it (8 n^2 more) the traced peak stays
+        # within 5 n^2. Neither a distance nor a level count reaches _UNSEEN.
+        assert _EXACT_ORDER_LIMIT - 1 < _UNSEEN
+        g = build()
+        n = g.n
+        tracemalloc.start()
+        try:
+            d = all_pairs_distances(g)
+            peak = tracemalloc.get_traced_memory()[1]
+            numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            held = tracemalloc.take_snapshot().filter_traces([numpy_data])
+        finally:
+            tracemalloc.stop()
+        assert d.dtype == np.uint16 and d.nbytes == 2 * n * n and not d.flags.writeable
+        assert sum(trace.size for trace in held.traces) == 2 * n * n
+        assert peak <= 5 * n * n
+
     @given(connected_graphs())
     @settings(max_examples=60)
     def test_matrix_invariants(self, g):
         d = all_pairs_distances(g)
-        assert d.dtype == np.int64 and d.shape == (g.n, g.n) and not d.flags.writeable
+        assert d.dtype == np.uint16 and d.shape == (g.n, g.n) and not d.flags.writeable
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
         # d == 1 exactly on edges

@@ -178,7 +178,7 @@ class TestDistances:
         layout = mycielskian(g)
         dg = all_pairs_distances(g)
         closed = mu_distance_matrix(dg)
-        assert closed.dtype == np.int64 and not closed.flags.writeable
+        assert closed.dtype == np.uint16 and not closed.flags.writeable
         assert np.array_equal(closed, all_pairs_distances(layout.mu))
         size = layout.mu.n
         scalar = [[case_table(g.n, dg, u, v) for v in range(size)] for u in range(size)]
