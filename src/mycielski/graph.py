@@ -199,11 +199,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     - In the numpy word levels a row is ``ceil(n/64)`` uint64 words of an
       ``(n, ceil(n/64))`` array, a level is one gather of the neighbours' rows
       and one ``bitwise_or.reduceat`` over the neighbour tuples of ``g.adjacency``
-      laid end to end, and each level's missing bits are added into a level
-      count. A level costs 2m ceil(n/64) word operations plus n^2 for reading
-      the bits, so these levels run only while their total stays within
-      n (n + 2m), one sparse BFS from every source (``_word_level_budget``).
-      On a small-diameter graph that is every level.
+      laid end to end, and each level's missing bits are counted and added into
+      a level count. A level costs 2m ceil(n/64) word operations plus n^2 for
+      reading the bits, so past 64 vertices these levels run only while their
+      total stays within n (n + 2m), one sparse BFS from every source
+      (``_word_level_budget``). On a small-diameter graph that is every level.
     - Rows still incomplete after that go on in the blocked kernel, 128
       source rows at a time, from the last word level k: the frontier is
       the pairs at distance k and the next level is k + 1 (with no word
@@ -239,6 +239,8 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
     first_nbr = np.cumsum(deg) - deg
     d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m))
+    if not d.flags.writeable:  # every row is full, so no block needs a scan
+        return d
     gather = _GATHER_EDGES * n * -(-n // 64)
     for lo in range(0, n, _BLOCK_ROWS):
         rows = d[lo : lo + _BLOCK_ROWS]
@@ -256,7 +258,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
             ends = np.cumsum(cnt)  # frontier pair i gathers edges ends[i] - cnt[i] .. ends[i] - 1
             # a frontier with more edges than one gather holds goes in parts, each
             # written into flat before the next is gathered, so none repeats a pair
-            cuts = (0, keys.size) if ends[-1] <= gather else _cuts(ends - cnt, ends[-1], gather)
+            cuts = _cuts(ends, gather)
             found = []
             for a, z in zip(cuts, cuts[1:]):
                 # each gathered edge's place in nbr, then its pair (s, w)
@@ -284,8 +286,10 @@ def _word_level_budget(n: int, m: int) -> int:
 
     A level gathers ``ceil(n/64)`` words per edge end and reads n^2 bits;
     a sparse BFS from every source visits n (n + 2m) vertices and edge ends.
+    That leaves out a level's fixed numpy cost, which outweighs its work when
+    a row is one word, so up to 64 vertices the budget is n: every level.
     """
-    return n * (n + 2 * m) // (2 * m * -(-n // 64) + n * n)
+    return n if n <= 64 else n * (n + 2 * m) // (2 * m * -(-n // 64) + n * n)
 
 
 def _numpy_word_levels(
@@ -298,50 +302,54 @@ def _numpy_word_levels(
     level ORs each row with the rows of its neighbours: one gather of
     ``r[nbr]`` and one ``bitwise_or.reduceat`` over the neighbour lists
     (none may be empty), in vertex chunks of about ``_GATHER_EDGES`` * n
-    gathered rows. Before each level the bits missing from R_k are added
-    into the uint16 count ``d``, so it holds ``min(dist(s, v), k)``.
+    gathered rows. Before each level the bits missing from R_k are counted
+    (none: every row is full; as many as a level before: DisconnectedError)
+    and added into the uint16 count ``d``, so it holds ``min(dist(s, v), k)``.
 
     Returns ``(d, k)`` with ``d`` exact where the distance is at most k and
-    ``_UNSEEN`` elsewhere: the whole matrix once every row is full, else the
-    state after ``budget`` levels for the blocked kernel to resume from.
+    ``_UNSEEN`` elsewhere: the whole matrix, read-only, once every row is
+    full, else the state after ``budget`` levels for the blocked kernel.
     """
     words = -(-n // 64)
-    r = np.zeros((n, 8 * words), dtype=np.uint8)
-    r[np.arange(n), np.arange(n) // 8] = 1 << (np.arange(n) % 8)
+    r = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1, bitorder="little")
     r = r.view(np.uint64)  # R_0[s] = {s}
-    full = np.bitwise_or.reduce(r, axis=0)
     grown = np.empty_like(r)
     bounds = np.append(first_nbr, nbr.size)  # vertex v's neighbours: bounds[v]..bounds[v+1]
-    cuts = _cuts(first_nbr, nbr.size, _GATHER_EDGES * n)
+    cuts = _cuts(bounds[1:], _GATHER_EDGES * n)
     chunks = [
         (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
         for a, b in zip(cuts, cuts[1:])
     ]
-
-    def missing(r: np.ndarray) -> np.ndarray:
-        return np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
-
     d = np.zeros((n, n), dtype=np.uint16)  # fewer than n <= 55,000 levels run
-    k = 0
-    while not (r == full).all() and k < budget:
-        d += missing(r)
-        for a, b, chunk_nbr, offsets in chunks:
-            gathered = np.take(r, chunk_nbr, axis=0)
-            np.bitwise_or(r[a:b], np.bitwise_or.reduceat(gathered, offsets), out=grown[a:b])
-        if np.array_equal(grown, r):
+    k, before = 0, -1
+    while True:
+        missing = np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
+        left = np.count_nonzero(missing)
+        if not left:  # tested before the budget: rows that fill there finish here
+            d.setflags(write=False)
+            return d, k
+        if left == before:  # no row grew
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
+        if k == budget:
+            np.copyto(d, _UNSEEN, where=missing.view(bool))
+            return d, k
+        d += missing
+        del missing  # freed before the gather, which holds about as much
+        for a, b, chunk_nbr, offsets in chunks:
+            # the gathered rows are freed at once, before the next chunk or unpack
+            ored = np.bitwise_or.reduceat(np.take(r, chunk_nbr, axis=0), offsets)
+            np.bitwise_or(r[a:b], ored, out=grown[a:b])
         r, grown = grown, r
-        k += 1
-    if k == budget:
-        np.copyto(d, _UNSEEN, where=missing(r).view(bool))
-    return d, k
+        k, before = k + 1, left
 
 
-def _cuts(starts: np.ndarray, total: int, step: int) -> list[int]:
-    """Cuts from 0 to len(starts) into parts of about ``step`` of ``total``
-    entries laid end to end from the offsets ``starts``, at most one item more."""
+def _cuts(ends: np.ndarray, step: int) -> list[int]:
+    """Cuts from 0 to len(ends) into parts of about ``step`` of the ``ends[-1]``
+    entries laid end to end, item i ending at ``ends[i]``, at most one item more."""
+    if ends[-1] <= step:
+        return [0, ends.size]
     # not np.unique: its first call imports numpy.ma, tens of ms in a fresh process
-    return sorted({*np.searchsorted(starts, np.arange(0, total, step)).tolist(), starts.size})
+    return sorted({*np.searchsorted(ends, np.arange(0, ends[-1], step)).tolist(), ends.size})
 
 
 def diameter(g: Graph) -> int:

@@ -17,6 +17,7 @@ from mycielski.errors import (
 from mycielski.generators import (
     complete,
     complete_bipartite,
+    connected_classes,
     cycle,
     enumerate_connected,
     erdos_renyi_connected,
@@ -517,7 +518,8 @@ class TestDistances:
 
     def test_default_budget_finishes_small_diameters_in_words(self, monkeypatch):
         # gnp(1000, 0.02) has diameter 4 and a budget of 15 levels, so the word
-        # levels do it all; a path of 300 gets 2 levels before the hand-off
+        # levels do it all; a path of 300 gets 2 levels before the hand-off. A
+        # graph of at most 64 vertices, one word per row, runs every level in words.
         handoffs = []
 
         def recorded(*args):
@@ -530,7 +532,51 @@ class TestDistances:
         assert _word_level_budget(g.n, g.m) == 15
         all_pairs_distances(g)
         all_pairs_distances(path(300))
-        assert handoffs == [(4, False), (2, True)]
+        assert _word_level_budget(300, 299) == 2
+        all_pairs_distances(path(6))
+        all_pairs_distances(path(64))
+        assert handoffs == [(4, False), (2, True), (5, False), (63, False)]
+
+    def test_small_class_graphs_and_their_mu_run_no_kernel_level(self, monkeypatch):
+        # the 224 APSP calls of verify --enumerate 6: the order-6 class graphs
+        # and their order-13 Mycielskians each finish in the word levels
+        handoffs = []
+
+        def recorded(*args):
+            d, k = _numpy_word_levels(*args)
+            handoffs.append((k, bool((d == _UNSEEN).any())))
+            return d, k
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        graphs = [g for g, _ in connected_classes(6)]
+        graphs += [mycielskian(g).mu for g in graphs]
+        assert len(graphs) == 224
+        for g in graphs:
+            d = all_pairs_distances(g)
+            assert np.array_equal(d, bfs_distances(g))
+            assert handoffs[-1] == (int(d.max()), False)
+        assert len(handoffs) == 224
+
+    def test_disconnected_one_word_graphs_rejected_in_words(self, monkeypatch):
+        # with the default budget a one-word graph never reaches the blocked
+        # kernel: a level that grows no row raises inside the word levels. At
+        # n = 3 every disconnected graph has an isolated vertex, which is
+        # rejected before any level, so the smallest case here is n = 4.
+        raised = []
+
+        def recorded(*args):
+            try:
+                return _numpy_word_levels(*args)
+            except DisconnectedError:
+                raised.append(args[0])
+                raise
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        for n, cut in ((4, 1), (24, 5), (64, 40)):
+            g = Graph(n, [(v, v + 1) for v in range(n - 1) if v != cut])
+            with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+                all_pairs_distances(g)
+        assert raised == [4, 24, 64]
 
     @pytest.mark.parametrize("gather_edges", [None, 1], ids=["default_gather", "tiny_gather"])
     def test_blocked_kernel_alone_is_exact(self, gather_edges, monkeypatch):
@@ -542,8 +588,8 @@ class TestDistances:
         calls = []
 
         def recorded(*args):
-            calls.append(args)
-            return _cuts(*args)
+            calls.append(_cuts(*args))
+            return calls[-1]
 
         monkeypatch.setattr("mycielski.graph._cuts", recorded)
         if gather_edges is not None:
@@ -556,10 +602,10 @@ class TestDistances:
             before = len(calls)
             assert np.array_equal(all_pairs_distances(g), bfs_distances(g))
             # the word levels cut their chunks once; every later call is a
-            # kernel level gathered in parts, which the tiny gather forces
-            # on any graph of 3 or more vertices
+            # kernel level, and the tiny gather forces at least one of them
+            # into parts on any graph of 3 or more vertices
             if gather_edges and g.n >= 3:
-                assert len(calls) - before > 1
+                assert any(len(cuts) > 2 for cuts in calls[before + 1 :])
         with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
             all_pairs_distances(Graph(200, [(v, v + 1) for v in range(199) if v != 149]))
 

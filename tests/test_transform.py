@@ -154,6 +154,26 @@ class TestDistances:
         with pytest.raises(InvalidParameterError, match="not square"):
             mu_distance_matrix(np.zeros(4, dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "dg",
+        [
+            np.array([[0, np.inf], [np.inf, 0]]),  # scipy's and networkx's unreachable pair
+            np.array([[0, 1.5], [1.5, 0]]),
+            np.array([[False, True], [True, False]]),
+            np.array([[0, -1], [-1, 0]]),
+            np.array([[0, 1], [-1, 0]], dtype=np.int8),
+        ],
+        ids=["inf", "fraction", "bool", "negative", "negative_int8"],
+    )
+    def test_non_distance_matrix_rejected(self, dg):
+        with pytest.raises(InvalidParameterError, match="non-negative integers"):
+            mu_distance_matrix(dg)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
+    def test_integer_matrices_of_any_width_are_read_alike(self, dtype):
+        dg = all_pairs_distances(path(6))
+        assert np.array_equal(mu_distance_matrix(dg.astype(dtype)), mu_distance_matrix(dg))
+
     def test_k1_matrix_rejected(self):
         # mu(K1) leaves original 0 isolated, so no finite matrix describes it
         with pytest.raises(TooSmallError):
