@@ -14,8 +14,8 @@ from mycielski import (
     all_pairs_distances,
     complete,
     cycle,
-    diameter,
     format_edge_list,
+    index_report,
     mu_degrees,
     mu_distance_matrix,
     mycielskian,
@@ -26,7 +26,7 @@ print("The smallest case: mu(K2) is the 5-cycle")
 print("=" * 64)
 layout = mycielskian(complete(2))
 print(format_edge_list(layout.mu, comment="roles: original 0..1, shadow 2..3, root 4"))
-print("degrees:", layout.mu.degrees, " diameter:", diameter(layout.mu))
+print("degrees:", layout.mu.degrees, " diameter:", index_report(layout.mu).diameter)
 
 print()
 print("=" * 64)

@@ -20,7 +20,6 @@ from collections import Counter
 from mycielski import (
     cycle,
     dd_mycielskian_closed,
-    degree_distance,
     enumerate_connected,
     index_report,
     mycielskian,
@@ -36,7 +35,7 @@ def closed_form(report):
 print("Named diameter-2 graphs, closed form vs brute force over BFS on mu:")
 for name, g in [("C4", cycle(4)), ("C5", cycle(5)), ("Petersen", petersen())]:
     closed = closed_form(index_report(g))
-    brute = degree_distance(mycielskian(g).mu)
+    brute = index_report(mycielskian(g).mu).degree_distance
     print(f"  {name:<9} closed={closed:<5} brute={brute:<5} match={closed == brute}")
 
 print()
@@ -51,7 +50,7 @@ print("anyway on every connected 5-vertex graph, grouped by diameter:")
 tally = Counter()
 for g in enumerate_connected(5):
     report = index_report(g)
-    brute = degree_distance(mycielskian(g).mu)
+    brute = index_report(mycielskian(g).mu).degree_distance
     tally[(report.diameter, closed_form(report) == brute)] += 1
 for diam in sorted({d for d, _ in tally}):
     hits, misses = tally[(diam, True)], tally[(diam, False)]

@@ -36,7 +36,6 @@ from .generators import (
 from .graph import (
     Graph,
     all_pairs_distances,
-    diameter,
     format_edge_list,
     parse_edge_list,
     read_edge_list,
@@ -45,13 +44,10 @@ from .indices import (
     IndexReport,
     RandicBounds,
     dd_mycielskian_closed,
-    degree_distance,
-    distance2_degree_sum,
     first_zagreb,
     index_report,
     randic,
     randic_bounds,
-    wiener,
 )
 from .transform import (
     MycielskianLayout,

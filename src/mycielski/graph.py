@@ -14,7 +14,8 @@ give equal graphs of Python ints and the same errors.
 from every source at once: on uint64 word bitsets, and past a level budget
 in a blocked kernel of bounded neighbour-list gathers. It does integer and
 bitwise arithmetic only and returns the exact distances as a read-only
-``(n, n)`` uint16 array, the level count itself. The brute-force oracles
+``(n, n)`` uint16 array, the level count itself. ``index_report`` reads
+the diameter, W and DD off one such matrix, and the brute-force oracles
 of ``verify`` (obs2, thm_dd) run it on the explicitly built Mycielskian.
 """
 
@@ -350,11 +351,6 @@ def _cuts(ends: np.ndarray, step: int) -> list[int]:
         return [0, ends.size]
     # not np.unique: its first call imports numpy.ma, tens of ms in a fresh process
     return sorted({*np.searchsorted(ends, np.arange(0, ends[-1], step)).tolist(), ends.size})
-
-
-def diameter(g: Graph) -> int:
-    """Largest hop distance over all vertex pairs."""
-    return int(all_pairs_distances(g).max())
 
 
 # Edge-list text format: first line "n m", then m lines "u v", LF endings.

@@ -1,10 +1,12 @@
 """Degree- and distance-based topological indices.
 
 Distance-based indices are exact integers, summed from the int64 row sums
-of ``all_pairs_distances`` (W and DD share one pass over the matrix), which
-refuses any order too large for those sums to stay exact. Randić-type
-quantities are doubles accumulated left to right over the canonically
-sorted edge list, so repeated runs produce bit-identical values.
+of ``all_pairs_distances``, which refuses any order too large for those
+sums to stay exact. ``index_report`` gives the diameter, W and DD from one
+APSP; ``verify`` sums DD and lemma3's distance-2 degree sum on the
+matrices it already holds. Randić-type quantities are doubles accumulated
+left to right over the canonically sorted edge list, so repeated runs
+produce bit-identical values.
 
 ``dd_mycielskian_closed`` is the paper's degree-distance theorem as a
 bare polynomial of four indices of G. It runs no BFS and checks no
@@ -24,18 +26,9 @@ from .errors import InvalidParameterError, NoEdgesError
 from .graph import Graph, all_pairs_distances
 
 
-def _wiener(rows: np.ndarray) -> int:
-    return int(rows.sum()) // 2
-
-
 def _degree_distance(g: Graph, rows: np.ndarray) -> int:
     """Pair sum of d(u, v) (deg u + deg v), regrouped by ``rows``, the row sums of symmetric d."""
     return int(np.asarray(g.degrees, dtype=np.int64) @ rows)
-
-
-def wiener(g: Graph) -> int:
-    """Sum of hop distances over all unordered vertex pairs."""
-    return _wiener(all_pairs_distances(g).sum(axis=1, dtype=np.int64))
 
 
 def first_zagreb(g: Graph) -> int:
@@ -54,24 +47,10 @@ def randic(g: Graph) -> float:
     return total
 
 
-def degree_distance(g: Graph) -> int:
-    """Sum over unordered pairs of ``d(u, v) * (deg(u) + deg(v))``."""
-    return _degree_distance(g, all_pairs_distances(g).sum(axis=1, dtype=np.int64))
-
-
 def _distance2_degree_sum(g: Graph, d: np.ndarray) -> int:
     """Pair sum over d(u, v) == 2 of (deg u + deg v), regrouped by the symmetric rows of d."""
     deg = np.asarray(g.degrees, dtype=np.int64)
     return int(deg @ (d == 2).sum(axis=1, dtype=np.int64))
-
-
-def distance2_degree_sum(g: Graph) -> int:
-    """Sum of endpoint degrees over unordered pairs at distance exactly 2.
-
-    On diameter-2 graphs this equals ``2(n-1)m - M1``: a vertex of degree d
-    has exactly ``n - 1 - d`` vertices at distance two.
-    """
-    return _distance2_degree_sum(g, all_pairs_distances(g))
 
 
 def dd_mycielskian_closed(n: int, m: int, m1: int, dd: int) -> int:
@@ -142,7 +121,7 @@ def index_report(g: Graph) -> IndexReport:
         n=g.n,
         m=g.m,
         diameter=int(d.max()),
-        wiener=_wiener(rows),
+        wiener=int(rows.sum()) // 2,
         zagreb_m1=first_zagreb(g),
         randic=randic(g),
         degree_distance=_degree_distance(g, rows),

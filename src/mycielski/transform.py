@@ -73,14 +73,17 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
 
     The result agrees entrywise with BFS on the constructed Mycielskian
     and is a read-only uint16 array. A non-square ``dg``, or one not all
-    non-negative integers, raises InvalidParameterError, and K1's ``[[0]]``
-    TooSmallError: mu(K1) has an isolated vertex.
+    non-negative integers below n, raises InvalidParameterError, and K1's
+    ``[[0]]`` TooSmallError: mu(K1) has an isolated vertex.
     """
     if dg.ndim != 2 or dg.shape[0] != dg.shape[1]:
         raise InvalidParameterError(f"distance matrix is {dg.shape}, not square")
     if dg.dtype.kind not in "iu" or dg.dtype.kind == "i" and (dg < 0).any():
         raise InvalidParameterError(f"distances must be non-negative integers, got {dg.dtype}")
     n = dg.shape[0]
+    # no pair of a connected order-n graph is n apart; APSP marks an unreached pair 0xFFFF
+    if dg.max(initial=0) >= n:
+        raise InvalidParameterError(f"distances must be non-negative integers below the order {n}")
     if n == 1:
         raise TooSmallError("vertex 0 is isolated, so mu(G) is disconnected")
     size = 2 * n + 1

@@ -24,14 +24,12 @@ from mycielski.generators import (
     petersen,
     star,
 )
-from mycielski.graph import all_pairs_distances, diameter
 from mycielski.indices import (
     dd_mycielskian_closed,
-    degree_distance,
     first_zagreb,
+    index_report,
     randic,
     randic_bounds,
-    wiener,
 )
 from mycielski.transform import mycielskian
 from mycielski.verify import CLAIM_IDS, verify_corpus
@@ -123,8 +121,8 @@ def test_criterion_4_named_case_regressions():
             (star(4), 534),
             (petersen(), 3780),
         ]:
-            assert degree_distance(mycielskian(g).mu) == expected  # brute force
-            dd = degree_distance(g)
+            assert index_report(mycielskian(g).mu).degree_distance == expected  # brute force
+            dd = index_report(g).degree_distance
             assert dd_mycielskian_closed(g.n, g.m, first_zagreb(g), dd) == expected
 
 
@@ -165,15 +163,16 @@ def test_criterion_6_smallest_mycielskian_smoke():
         mu = mycielskian(complete(2)).mu
         assert (mu.n, mu.m) == (5, 5)
         assert set(mu.degrees) == {2}
-        assert diameter(mu) == 2
-        assert degree_distance(mu) == 60
+        r = index_report(mu)
+        assert r.diameter == 2
+        assert r.degree_distance == 60
         assert abs(randic(mu) - 2.5) <= 1e-9
 
 
 def test_criterion_7_family_identities():
     with criterion("7 closed-form family identities up to n=50"):
         for n in range(2, 51):
-            assert wiener(path(n)) == n * (n * n - 1) // 6
+            assert index_report(path(n)).wiener == n * (n * n - 1) // 6
         regular = (
             [(cycle(n), 2) for n in range(3, 51)]
             + [(complete(n), n - 1) for n in range(2, 51)]
@@ -182,7 +181,8 @@ def test_criterion_7_family_identities():
         corpus = [g for g, _ in regular] + [path(n) for n in range(2, 51)]
         for g, k in regular:
             assert abs(randic(g) - g.n / 2) <= 1e-9
-            assert degree_distance(g) == 2 * k * wiener(g)
+            r = index_report(g)
+            assert r.degree_distance == 2 * k * r.wiener
         for g in corpus:
             edge_form = sum(g.degrees[u] + g.degrees[v] for u, v in g.edges)
             assert first_zagreb(g) == edge_form == sum(d * d for d in g.degrees)

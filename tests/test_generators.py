@@ -30,7 +30,7 @@ from mycielski.generators import (
     petersen,
     star,
 )
-from mycielski.graph import diameter
+from mycielski.indices import index_report
 
 from conftest import CONNECTED_COUNTS, scalar_gnp, scalar_pairs, splitmix64
 
@@ -87,20 +87,20 @@ class TestFamilies:
         g = cycle(5)
         assert (g.n, g.m) == (5, 5)
         assert set(g.degrees) == {2}
-        assert diameter(g) == 2
+        assert index_report(g).diameter == 2
 
     def test_petersen(self):
         g = petersen()
         assert (g.n, g.m) == (10, 15)
         assert set(g.degrees) == {3}
-        assert diameter(g) == 2
+        assert index_report(g).diameter == 2
         assert girth(g) == 5
 
     def test_complete_bipartite(self):
         g = complete_bipartite(2, 3)
         assert (g.n, g.m) == (5, 6)
         assert g.degrees == (3, 3, 2, 2, 2)
-        assert diameter(g) == 2
+        assert index_report(g).diameter == 2
 
     def test_canonical_labels(self):
         assert path(4).edges == ((0, 1), (1, 2), (2, 3))

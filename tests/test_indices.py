@@ -21,14 +21,12 @@ from mycielski.generators import (
 )
 from mycielski.graph import Graph, all_pairs_distances
 from mycielski.indices import (
+    _distance2_degree_sum,
     dd_mycielskian_closed,
-    degree_distance,
-    distance2_degree_sum,
     first_zagreb,
     index_report,
     randic,
     randic_bounds,
-    wiener,
 )
 from mycielski.transform import mycielskian
 from mycielski.verify import verify_graph
@@ -43,11 +41,11 @@ class TestWiener:
         ids=["P3", "K4", "C6"],
     )
     def test_values(self, g, expected):
-        assert wiener(g) == expected
+        assert index_report(g).wiener == expected
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
-            wiener(Graph(3, [(0, 1)]))
+            index_report(Graph(3, [(0, 1)]))
 
 
 class TestZagreb:
@@ -106,7 +104,7 @@ class TestDegreeDistance:
         ids=["P3", "C4", "K1_4"],
     )
     def test_values(self, g, expected):
-        assert degree_distance(g) == expected
+        assert index_report(g).degree_distance == expected
 
     @given(connected_graphs())
     @settings(max_examples=40)
@@ -120,7 +118,7 @@ class TestDegreeDistance:
         transmission = sum(
             g.degrees[v] * int(d[v].sum()) for v in range(g.n)
         )
-        assert degree_distance(g) == pair_loop == transmission
+        assert index_report(g).degree_distance == pair_loop == transmission
 
 
 class TestDistance2DegreeSum:
@@ -130,14 +128,15 @@ class TestDistance2DegreeSum:
         ids=["K1_4", "C4", "K4", "C5"],
     )
     def test_values(self, g, expected):
-        assert distance2_degree_sum(g) == expected
+        assert _distance2_degree_sum(g, all_pairs_distances(g)) == expected
 
     @pytest.mark.parametrize(
         "g", [star(4), cycle(4), complete(4), cycle(5), petersen()],
         ids=["K1_4", "C4", "K4", "C5", "Petersen"],
     )
     def test_identity_when_diameter_two_or_less(self, g):
-        assert distance2_degree_sum(g) == 2 * (g.n - 1) * g.m - first_zagreb(g)
+        d2 = _distance2_degree_sum(g, all_pairs_distances(g))
+        assert d2 == 2 * (g.n - 1) * g.m - first_zagreb(g)
 
 
 class TestRowSumForms:
@@ -147,12 +146,13 @@ class TestRowSumForms:
         d = bfs_distances(g)
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         weight = {(u, v): g.degrees[u] + g.degrees[v] for u, v in pairs}
-        assert degree_distance(g) == sum(int(d[p]) * weight[p] for p in pairs)
-        assert distance2_degree_sum(g) == sum(weight[p] for p in pairs if d[p] == 2)
+        assert index_report(g).degree_distance == sum(int(d[p]) * weight[p] for p in pairs)
+        d2 = _distance2_degree_sum(g, all_pairs_distances(g))
+        assert d2 == sum(weight[p] for p in pairs if d[p] == 2)
 
 
 def closed_form(g):
-    return dd_mycielskian_closed(g.n, g.m, first_zagreb(g), degree_distance(g))
+    return dd_mycielskian_closed(g.n, g.m, first_zagreb(g), index_report(g).degree_distance)
 
 
 class TestClosedFormDegreeDistance:
@@ -165,7 +165,7 @@ class TestClosedFormDegreeDistance:
     )
     def test_pinned_regressions(self, g, expected):
         assert closed_form(g) == expected
-        assert degree_distance(mycielskian(g).mu) == expected
+        assert index_report(mycielskian(g).mu).degree_distance == expected
 
     def test_wrong_diameter_rejected_with_payload(self):
         # the diameter-2 hypothesis lives in verify's claim table
@@ -179,13 +179,13 @@ class TestClosedFormDegreeDistance:
     def test_unchecked_mode_on_k2(self):
         # diameter 1, yet the polynomial happens to match mu(K2) = C5
         value = closed_form(complete(2))
-        assert value == 60 == degree_distance(mycielskian(complete(2)).mu)
+        assert value == 60 == index_report(mycielskian(complete(2)).mu).degree_distance
 
     def test_unchecked_mode_can_diverge(self):
         # diameter 4: polynomial gives 604, brute force 614
         g = path(5)
         assert closed_form(g) == 604
-        assert degree_distance(mycielskian(g).mu) == 614
+        assert index_report(mycielskian(g).mu).degree_distance == 614
 
     def test_disconnected(self):
         with pytest.raises(DisconnectedError):
@@ -265,7 +265,16 @@ class TestExactOrderGuard:
     # a small stand-in limit; a real order past 55,000 would allocate gigabytes
     @pytest.mark.parametrize(
         "fn",
-        [all_pairs_distances, wiener, degree_distance, distance2_degree_sum, index_report],
+        [
+            all_pairs_distances,
+            pytest.param(lambda g: index_report(g).wiener, id="wiener"),
+            pytest.param(lambda g: index_report(g).degree_distance, id="degree_distance"),
+            pytest.param(
+                lambda g: _distance2_degree_sum(g, all_pairs_distances(g)),
+                id="distance2_degree_sum",
+            ),
+            index_report,
+        ],
         ids=lambda fn: fn.__name__,
     )
     def test_orders_past_the_limit_are_refused(self, fn, monkeypatch):
@@ -296,12 +305,17 @@ class TestIndexReport:
         assert r.randic == pytest.approx(2.5, abs=1e-9)
 
     @given(connected_graphs(max_n=7))
-    @settings(max_examples=25)
+    @settings(max_examples=30)
     def test_matches_individual_operations(self, g):
-        r = index_report(g)
-        assert r.wiener == wiener(g)
+        # W, DD and the diameter against the pair sums of the deque BFS,
+        # which shares no code with all_pairs_distances
+        r, d = index_report(g), bfs_distances(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        assert r.diameter == max(int(d[p]) for p in pairs)
+        assert r.wiener == sum(int(d[p]) for p in pairs)
+        deg = g.degrees
+        assert r.degree_distance == sum(int(d[u, v]) * (deg[u] + deg[v]) for u, v in pairs)
         assert r.zagreb_m1 == first_zagreb(g)
-        assert r.degree_distance == degree_distance(g)
         assert r.randic == randic(g)
 
 
@@ -312,5 +326,6 @@ class TestRegularGraphIdentities:
         ids=["C5", "C8", "K6", "Petersen"],
     )
     def test_dd_and_randic_closed_forms(self, g, k):
-        assert degree_distance(g) == 2 * k * wiener(g)
+        r = index_report(g)
+        assert r.degree_distance == 2 * k * r.wiener
         assert randic(g) == pytest.approx(g.n / 2, abs=1e-9)

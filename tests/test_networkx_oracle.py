@@ -2,9 +2,9 @@
 the package: its connectivity test on every edge subset of order 1 to 5
 (against the enumeration and ``Graph.is_connected``) and on the benchmark
 gnp graphs, its sorted neighbour lists on those gnp graphs and on G and
-mu(G) below, and its Mycielskian, Wiener index and Schultz index (which is
-the degree distance) on every connected graph of order 2 to 5 and four
-named graphs.
+mu(G) below, and its Mycielskian, diameter, Wiener index and Schultz index
+(which is the degree distance) on every connected graph of order 2 to 5
+and four named graphs.
 Each test lists every graph that disagrees.
 
 The atlas tests take one graph per isomorphism class from networkx's graph
@@ -37,14 +37,13 @@ from mycielski.generators import (
     petersen,
     star,
 )
-from mycielski.graph import Graph, all_pairs_distances, diameter
+from mycielski.graph import Graph, all_pairs_distances
 from mycielski.indices import (
+    _distance2_degree_sum,
     dd_mycielskian_closed,
-    degree_distance,
-    distance2_degree_sum,
     first_zagreb,
+    index_report,
     randic_bounds,
-    wiener,
 )
 from mycielski.transform import mu_degrees, mu_distance_matrix, mycielskian
 from mycielski.verify import BOUND_TOL, CLAIM_IDS, verify_corpus
@@ -136,21 +135,29 @@ def test_mycielskian_edges(corpus):
 
 
 def test_wiener(corpus):
-    wrong = [g for g, _, h, _ in corpus if nx.wiener_index(h) != wiener(g)]
+    reports = [(g, index_report(g), h) for g, _, h, _ in corpus]
+    wrong = [
+        g for g, r, h in reports if (r.wiener, r.diameter) != (nx.wiener_index(h), nx.diameter(h))
+    ]
     assert wrong == []
 
 
 def test_degree_distance_of_mu(corpus):
-    wrong = [g for _, mu, _, nx_mu in corpus if nx.schultz_index(nx_mu) != degree_distance(mu)]
+    wrong = [
+        g
+        for g, mu, _, nx_mu in corpus
+        if nx.schultz_index(nx_mu) != index_report(mu).degree_distance
+    ]
     assert wrong == []
 
 
 def test_closed_form_on_diameter_two(corpus):
-    two = [(g, nx_mu) for g, _, _, nx_mu in corpus if diameter(g) == 2]
+    reports = [(g, index_report(g), nx_mu) for g, _, _, nx_mu in corpus]
+    two = [(g, r, nx_mu) for g, r, nx_mu in reports if r.diameter == 2]
     wrong = [
         g
-        for g, nx_mu in two
-        if dd_mycielskian_closed(g.n, g.m, first_zagreb(g), degree_distance(g))
+        for g, r, nx_mu in two
+        if dd_mycielskian_closed(g.n, g.m, first_zagreb(g), r.degree_distance)
         != nx.schultz_index(nx_mu)
     ]
     # 395 of the enumerated graphs, then C5, Petersen, K2,3 and the star
@@ -230,16 +237,17 @@ def test_atlas_order_7_against_networkx(atlas_classes):
         d_mu = np.zeros((15, 15), dtype=np.int64)
         for u, row in nx.all_pairs_shortest_path_length(nx_mu):
             d_mu[u, list(row)] = list(row.values())
-        if not np.array_equal(mu_distance_matrix(all_pairs_distances(g)), d_mu):
+        dg = all_pairs_distances(g)
+        if not np.array_equal(mu_distance_matrix(dg), d_mu):
             wrong["obs2"].append(g)
         if nx.diameter(h) == 2:
             diameter_two += orbit
             # at diameter 2 the pairs at distance 2 are the non-edges
             pair_sum = sum(h.degree(u) + h.degree(v) for u, v in nx.complement(h).edges())
-            if not pair_sum == distance2_degree_sum(g) == 12 * g.m - first_zagreb(g):
+            if not pair_sum == _distance2_degree_sum(g, dg) == 12 * g.m - first_zagreb(g):
                 wrong["lemma3"].append(g)
             # DD(mu): each pair's distance times its degree sum, row by row
-            dd = dd_mycielskian_closed(7, g.m, first_zagreb(g), degree_distance(g))
+            dd = dd_mycielskian_closed(7, g.m, first_zagreb(g), index_report(g).degree_distance)
             if dd != sum(mu_degree[u] * int(d_mu[u].sum()) for u in range(15)):
                 wrong["thm_dd"].append(g)
         bounds, r_mu = randic_bounds(g, nx_randic(h)), nx_randic(nx_mu)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 
 from mycielski.errors import InvalidParameterError, TooSmallError
 from mycielski.generators import complete, cycle, path, petersen, star
-from mycielski.graph import Graph, all_pairs_distances, diameter
+from mycielski.graph import Graph, all_pairs_distances
+from mycielski.indices import index_report
 from mycielski.transform import mu_degrees, mu_distance_matrix, mycielskian
 
 from conftest import connected_graphs
@@ -54,7 +55,7 @@ class TestConstruction:
         mu = mycielskian(complete(2)).mu
         assert (mu.n, mu.m) == (5, 5)
         assert set(mu.degrees) == {2}
-        assert diameter(mu) == 2
+        assert index_report(mu).diameter == 2
 
     def test_vertex_and_edge_counts(self):
         assert (mycielskian(cycle(4)).mu.n, mycielskian(cycle(4)).mu.m) == (9, 16)
@@ -162,8 +163,10 @@ class TestDistances:
             np.array([[False, True], [True, False]]),
             np.array([[0, -1], [-1, 0]]),
             np.array([[0, 1], [-1, 0]], dtype=np.int8),
+            np.array([[0, 0xFFFF], [0xFFFF, 0]], dtype=np.uint16),  # the uint16 unreached mark
+            np.zeros((0, 0), dtype=np.uint16),  # no graph has order 0
         ],
-        ids=["inf", "fraction", "bool", "negative", "negative_int8"],
+        ids=["inf", "fraction", "bool", "negative", "negative_int8", "unreached_uint16", "empty"],
     )
     def test_non_distance_matrix_rejected(self, dg):
         with pytest.raises(InvalidParameterError, match="non-negative integers"):
