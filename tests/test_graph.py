@@ -671,6 +671,11 @@ class TestDiameterAndDegrees:
         assert diameter == expected
         assert type(diameter) is int
 
+    @given(connected_graphs(max_n=7))
+    @settings(max_examples=30)
+    def test_diameter_is_max_entry(self, g):
+        assert index_report(g).diameter == all_pairs_distances(g).max()
+
     @pytest.mark.parametrize(
         "g,expected",
         [(cycle(7), (2, 2)), (star(4), (1, 4)), (path(4), (1, 2))],
