@@ -14,9 +14,11 @@ give equal graphs of Python ints and the same errors.
 from every source at once: on uint64 word bitsets, and past a level budget
 in a blocked kernel of bounded neighbour-list gathers. It does integer and
 bitwise arithmetic only and returns the exact distances as a read-only
-``(n, n)`` uint16 array, the level count itself. ``index_report`` reads
-the diameter, W and DD off one such matrix, and the brute-force oracles
+``(n, n)`` uint16 array, the level count itself. The brute-force oracles
 of ``verify`` (obs2, thm_dd) run it on the explicitly built Mycielskian.
+``index_report`` runs the same search with its second sink, which adds
+each level's missing bits into the per-source distance sums and builds no
+``(n, n)`` array.
 """
 
 from __future__ import annotations
@@ -181,6 +183,8 @@ _BLOCK_ROWS = 128
 # of any density: a numpy word level gathers the ceil(n/64)-word rows of this
 # many times n neighbours, a blocked-kernel level that many words of pair keys.
 _GATHER_EDGES = 8
+# Set bits of each byte value, for counting a row's words with no n^2 unpack
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -228,6 +232,17 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     that shows: a vertex with no neighbour, a level that grows no row or a
     block whose frontier empties; the matrix never contains infinities.
     """
+    return _distance_levels(g, matrix=True)[0]
+
+
+def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
+    """The BFS of ``all_pairs_distances``, and the diameter.
+
+    Returns the read-only uint16 matrix with ``matrix``, else the int64
+    distance sums T(s) = sum over v of d(s, v) with no (n, n) array: each
+    word level adds its missing bits per row into T, and each kernel block
+    runs on a 128-row scratch and adds k - last for each pair found at level k.
+    """
     n = g.n
     if n > _EXACT_ORDER_LIMIT:
         raise InvalidParameterError(
@@ -239,12 +254,21 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         raise DisconnectedError("vertex 0 cannot reach the whole graph")
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
     first_nbr = np.cumsum(deg) - deg
-    d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m))
-    if not d.flags.writeable:  # every row is full, so no block needs a scan
-        return d
+    sums = None if matrix else np.zeros(n, dtype=np.int64)
+    d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m), sums)
+    if d is None or (matrix and not d.flags.writeable):  # every row is full: no block scan
+        return (d if matrix else sums), last
     gather = _GATHER_EDGES * n * -(-n // 64)
+    top = last
     for lo in range(0, n, _BLOCK_ROWS):
-        rows = d[lo : lo + _BLOCK_ROWS]
+        if matrix:
+            rows = d[lo : lo + _BLOCK_ROWS]
+        else:  # _UNSEEN outside R_last, last on its frontier and 0 inside R_{last-1}:
+            # a bit of R_last steps _UNSEEN down to last, one of R_{last-1} last down to 0
+            rows = np.full((min(_BLOCK_ROWS, n - lo), n), _UNSEEN)
+            for words, step in zip(d, (_UNSEEN - last, last)):
+                bits = words[lo : lo + _BLOCK_ROWS].view(np.uint8)
+                rows -= np.unpackbits(bits, axis=1, count=n, bitorder="little") * np.uint16(step)
         b = len(rows)
         flat = rows.reshape(-1)  # a view: rows of d are contiguous
         reached = np.count_nonzero(flat != _UNSEEN)
@@ -278,8 +302,12 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
             reached += keys.size
         if reached < b * n:
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
-    d.setflags(write=False)
-    return d
+        top = max(top, k)
+        if not matrix:  # T holds min(d, last) per pair, so a pair found at k adds k - last
+            sums[lo : lo + b] += np.maximum(rows, last).sum(axis=1, dtype=np.int64) - n * last
+    if matrix:
+        d.setflags(write=False)
+    return (d if matrix else sums), top
 
 
 def _word_level_budget(n: int, m: int) -> int:
@@ -294,8 +322,8 @@ def _word_level_budget(n: int, m: int) -> int:
 
 
 def _numpy_word_levels(
-    n: int, nbr: np.ndarray, first_nbr: np.ndarray, budget: int
-) -> tuple[np.ndarray, int]:
+    n: int, nbr: np.ndarray, first_nbr: np.ndarray, budget: int, sums: np.ndarray | None
+) -> tuple:
     """At most ``budget`` levels of the word recurrence on a uint64 array.
 
     Row s of ``r`` holds R_k[s] as ``ceil(n/64)`` uint64 words, vertex v at
@@ -310,29 +338,38 @@ def _numpy_word_levels(
     Returns ``(d, k)`` with ``d`` exact where the distance is at most k and
     ``_UNSEEN`` elsewhere: the whole matrix, read-only, once every row is
     full, else the state after ``budget`` levels for the blocked kernel.
+    With ``sums`` the missing bits are counted per row through ``_POPCOUNT``,
+    with no n^2 unpack, and added into ``sums``; ``d`` is then None once every
+    row is full, else ``(R_k, R_{k-1})`` for the blocked kernel.
     """
     words = -(-n // 64)
     r = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1, bitorder="little")
     r = r.view(np.uint64)  # R_0[s] = {s}
-    grown = np.empty_like(r)
+    grown = np.zeros(r.shape, r.dtype)  # R_{-1} is empty
     bounds = np.append(first_nbr, nbr.size)  # vertex v's neighbours: bounds[v]..bounds[v+1]
     cuts = _cuts(bounds[1:], _GATHER_EDGES * n)
     chunks = [
         (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
         for a, b in zip(cuts, cuts[1:])
     ]
-    d = np.zeros((n, n), dtype=np.uint16)  # fewer than n <= 55,000 levels run
+    # a uint16 count: fewer than n <= 55,000 levels run
+    d = np.zeros((n, n), dtype=np.uint16) if sums is None else sums
     k, before = 0, -1
     while True:
-        missing = np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
-        left = np.count_nonzero(missing)
-        if not left:  # tested before the budget: rows that fill there finish here
-            d.setflags(write=False)
-            return d, k
+        if sums is None:
+            missing = np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
+            left = np.count_nonzero(missing)
+        else:  # the padding bits past n are never set
+            missing = n - _POPCOUNT[r.view(np.uint8)].sum(axis=1, dtype=np.int64)
+            left = int(missing.sum())
         if left == before:  # no row grew
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
-        if k == budget:
-            np.copyto(d, _UNSEEN, where=missing.view(bool))
+        if not left or k == budget:  # full comes first: rows that fill there finish here
+            if sums is not None:
+                return ((r, grown) if left else None), k
+            if left:
+                np.copyto(d, _UNSEEN, where=missing.view(bool))
+            d.setflags(write=bool(left))
             return d, k
         d += missing
         del missing  # freed before the gather, which holds about as much

@@ -1,12 +1,13 @@
 """Degree- and distance-based topological indices.
 
-Distance-based indices are exact integers, summed from the int64 row sums
-of ``all_pairs_distances``, which refuses any order too large for those
-sums to stay exact. ``index_report`` gives the diameter, W and DD from one
-APSP; ``verify`` sums DD and lemma3's distance-2 degree sum on the
-matrices it already holds. Randić-type quantities are doubles accumulated
-left to right over the canonically sorted edge list, so repeated runs
-produce bit-identical values.
+Distance-based indices are exact integers, summed in int64 from the
+per-source distance sums of the package's one BFS, which refuses any order
+too large for those sums to stay exact. ``index_report`` gives the
+diameter, W and DD from one run of it that builds no distance matrix;
+``verify`` sums DD and lemma3's distance-2 degree sum on the matrices of
+``all_pairs_distances`` it already holds. Randić-type quantities are
+doubles accumulated left to right over the canonically sorted edge list,
+so repeated runs produce bit-identical values.
 
 ``dd_mycielskian_closed`` is the paper's degree-distance theorem as a
 bare polynomial of four indices of G. It runs no BFS and checks no
@@ -23,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NoEdgesError
-from .graph import Graph, all_pairs_distances
+from .graph import Graph, _distance_levels
 
 
 def _degree_distance(g: Graph, rows: np.ndarray) -> int:
@@ -114,13 +115,13 @@ class IndexReport:
 
 
 def index_report(g: Graph) -> IndexReport:
-    """Compute all indices from one shared distance matrix."""
-    d = all_pairs_distances(g)
-    rows = d.sum(axis=1, dtype=np.int64)
+    """Compute all indices; the diameter, W and DD come from one BFS that sums
+    each source's distances level by level and builds no distance matrix."""
+    rows, diameter = _distance_levels(g, matrix=False)
     return IndexReport(
         n=g.n,
         m=g.m,
-        diameter=int(d.max()),
+        diameter=diameter,
         wiener=int(rows.sum()) // 2,
         zagreb_m1=first_zagreb(g),
         randic=randic(g),

@@ -72,9 +72,10 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
       original- shadow, i != j    d(i, j) if d(i, j) <= 2 else 3
 
     The result agrees entrywise with BFS on the constructed Mycielskian
-    and is a read-only uint16 array. A non-square ``dg``, or one not all
-    non-negative integers below n, raises InvalidParameterError, and K1's
-    ``[[0]]`` TooSmallError: mu(K1) has an isolated vertex.
+    and is a read-only uint16 array. A non-square ``dg``, one not all
+    non-negative integers below n, or one not symmetric with zeros on its
+    diagonal alone, raises InvalidParameterError, and K1's ``[[0]]``
+    TooSmallError: mu(K1) has an isolated vertex.
     """
     if dg.ndim != 2 or dg.shape[0] != dg.shape[1]:
         raise InvalidParameterError(f"distance matrix is {dg.shape}, not square")
@@ -84,6 +85,10 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
     # no pair of a connected order-n graph is n apart; APSP marks an unreached pair 0xFFFF
     if dg.max(initial=0) >= n:
         raise InvalidParameterError(f"distances must be non-negative integers below the order {n}")
+    # d(u, v) = d(v, u), and it is 0 exactly when u = v
+    zero_apart = np.count_nonzero(dg) < n * n - n  # read with the diagonal test
+    if zero_apart or np.count_nonzero(dg.diagonal()) or np.count_nonzero(dg != dg.T):
+        raise InvalidParameterError("distances must be symmetric, and 0 on the diagonal alone")
     if n == 1:
         raise TooSmallError("vertex 0 is isolated, so mu(G) is disconnected")
     size = 2 * n + 1

@@ -10,7 +10,7 @@ import pytest
 from mycielski import generators
 from mycielski.cli import _corpus, build_parser, main
 from mycielski.generators import erdos_renyi_connected
-from mycielski.graph import all_pairs_distances, parse_edge_list
+from mycielski.graph import _numpy_word_levels, parse_edge_list
 from mycielski.indices import randic
 
 
@@ -70,18 +70,26 @@ class TestCompute:
         assert json.loads(target.read_text())["wiener"] == 15
 
     def test_diameter_two_runs_one_apsp(self, monkeypatch):
-        calls = []
+        # every distance pass, matrix or sums, runs the word levels once;
+        # compute needs no matrix, so all_pairs_distances is never called
+        passes = []
 
-        def counted(g):
-            calls.append(g.n)
-            return all_pairs_distances(g)
+        def counted(*args):
+            passes.append(args[0])
+            return _numpy_word_levels(*args)
 
-        monkeypatch.setattr("mycielski.indices.all_pairs_distances", counted)
+        def no_matrix(g):
+            raise AssertionError("compute called all_pairs_distances")
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", counted)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mycielski" and hasattr(module, "all_pairs_distances"):
+                monkeypatch.setattr(module, "all_pairs_distances", no_matrix)
         status, out = run_cli("compute", "--family", "gnp:30,0.5,3")
         assert status == 0
         record = json.loads(out)
         assert record["diameter"] == 2 and "degree_distance_mu" in record
-        assert calls == [30]
+        assert passes == [30]
 
     def test_diameter_two_computes_randic_once(self, monkeypatch):
         calls = []

@@ -630,7 +630,8 @@ class TestDistances:
     def test_result_is_the_uint16_level_count(self, build):
         # the level count is the result: it holds 2 n^2 bytes of numpy data,
         # and with no int64 copy of it (8 n^2 more) the traced peak stays
-        # within 5 n^2. Neither a distance nor a level count reaches _UNSEEN.
+        # within 4 n^2 (about 3.6 n^2). Neither a distance nor a level count
+        # reaches _UNSEEN.
         assert _EXACT_ORDER_LIMIT - 1 < _UNSEEN
         g = build()
         n = g.n
@@ -644,7 +645,7 @@ class TestDistances:
             tracemalloc.stop()
         assert d.dtype == np.uint16 and d.nbytes == 2 * n * n and not d.flags.writeable
         assert sum(trace.size for trace in held.traces) == 2 * n * n
-        assert peak <= 5 * n * n
+        assert peak <= 4 * n * n
 
     @given(connected_graphs())
     @settings(max_examples=60)
@@ -658,6 +659,153 @@ class TestDistances:
         assert ones == set(g.edges)
         # triangle inequality via one min-plus step
         assert np.all(d <= (d[:, :, None] + d[None, :, :]).min(axis=1))
+
+
+def summed_from_the_matrix(g):
+    """Diameter, W and DD of g summed from its distance matrix."""
+    d = all_pairs_distances(g)
+    rows = d.sum(axis=1, dtype=np.int64)
+    return int(d.max()), int(rows.sum()) // 2, int(np.asarray(g.degrees) @ rows)
+
+
+def distance_sum_cases():
+    """The SHAPES around the word and block widths, and four graphs of long diameter."""
+    for n in (25, 63, 64, 65, 127, 128, 129):
+        for name, build in SHAPES.items():
+            yield pytest.param(lambda build=build, n=n: build(n), id=f"{name}{n}")
+    yield pytest.param(lambda: erdos_renyi_connected(1000, 0.02, 7), id="gnp1000_0.02")
+    yield pytest.param(lambda: path(300), id="path300")
+    yield pytest.param(lambda: barbell(100, 100), id="barbell100_100")
+    yield pytest.param(lambda: broom(150, 100, 50), id="broom150_100_50")
+
+
+class TestDistanceSums:
+    """``index_report`` sums each source's distances inside the BFS, with no matrix."""
+
+    @pytest.mark.parametrize(
+        "budget", [0, 1, 2, None], ids=["budget0", "budget1", "budget2", "unlimited"]
+    )
+    @pytest.mark.parametrize("build", distance_sum_cases())
+    def test_sums_match_the_matrix(self, build, budget, monkeypatch):
+        g = build()
+        expected = summed_from_the_matrix(g)
+        monkeypatch.setattr(
+            "mycielski.graph._word_level_budget",
+            unlimited_budget if budget is None else (lambda n, m: budget),
+        )
+        handoffs = []
+
+        def recorded(*args):
+            state, k = _numpy_word_levels(*args)
+            handoffs.append((k, state is not None))
+            return state, k
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        report = index_report(g)
+        assert (report.diameter, report.wiener, report.degree_distance) == expected
+        assert all(type(x) is int for x in (report.diameter, report.wiener, report.degree_distance))
+        # the word levels hand R_k and R_{k-1} to the kernel, or finish every row
+        diam = expected[0]
+        if budget is None or budget >= diam:
+            assert handoffs == [(diam, False)]
+        else:
+            assert handoffs == [(budget, True)]
+
+    @pytest.mark.parametrize("budget", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: path(300), lambda: barbell(100, 100), lambda: erdos_renyi_connected(257, 0.05, 1)],
+        ids=["path300", "barbell100_100", "gnp257"],
+    )
+    def test_kernel_gathers_what_the_matrix_kernel_gathers(self, build, budget, monkeypatch):
+        # each kernel level starts from the pairs at distance k alone, in
+        # either sink, so every level gathers as many edges in both
+        monkeypatch.setattr("mycielski.graph._word_level_budget", lambda n, m: budget)
+        gathered = []
+
+        def recorded(ends, step):
+            gathered[-1].append(int(ends[-1]))
+            return _cuts(ends, step)
+
+        monkeypatch.setattr("mycielski.graph._cuts", recorded)
+        g = build()
+        for run in (all_pairs_distances, index_report):
+            gathered.append([])
+            run(g)
+        assert gathered[0] == gathered[1] and len(gathered[0]) > 1
+
+    def test_order_limit_is_checked_before_anything_is_read(self):
+        too_large = SimpleNamespace(n=_EXACT_ORDER_LIMIT + 1)
+        with pytest.raises(InvalidParameterError, match="exact int64 limit"):
+            index_report(too_large)
+
+    @pytest.mark.parametrize("isolated", [0, 12, 29])
+    def test_isolated_vertex_rejected_before_any_level(self, isolated, monkeypatch):
+        def no_levels(*args):
+            raise AssertionError("a word level ran")
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", no_levels)
+        others = [v for v in range(30) if v != isolated]
+        with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):
+            index_report(Graph(30, zip(others, others[1:])))
+
+    @pytest.mark.parametrize(
+        "budget,in_words", [(None, True), (2, False)], ids=["in_words", "kernel"]
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Graph(24, [(v, v + 1) for v in range(23) if v != 5]),
+            lambda: Graph(200, [(v, v + 1) for v in range(199) if v != 149]),
+            # two stars, on 0..63 and 64..127: the split falls between two words
+            lambda: Graph(128, [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)]),
+            lambda: Graph(
+                129,
+                [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)] + [(127, 128)],
+            ),
+        ],
+        ids=["path24_cut", "path200_cut", "two_stars128", "two_stars129"],
+    )
+    def test_disconnected_rejected(self, build, budget, in_words, monkeypatch):
+        # with no budget a word level grows no row; stopped after 2 levels,
+        # a kernel block sees its frontier empty (path24 fills no row by then)
+        monkeypatch.setattr(
+            "mycielski.graph._word_level_budget",
+            unlimited_budget if budget is None else (lambda n, m: budget),
+        )
+        raised = []
+
+        def recorded(*args):
+            try:
+                return _numpy_word_levels(*args)
+            except DisconnectedError:
+                raised.append(args[0])
+                raise
+
+        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        g = build()
+        with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):
+            index_report(g)
+        assert raised == ([g.n] if in_words else [])
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: cycle(1000), lambda: path(600)],
+        ids=["gnp1000_0.02", "cycle1000", "path600"],
+    )
+    def test_index_report_holds_no_matrix(self, build):
+        # two word arrays of n^2/8 bytes, one vertex chunk's gathered rows
+        # (about n^2) and the byte counts of one level (n^2/8): about 1.6 n^2
+        # on the gnp graph, where a uint16 matrix alone would be 2 n^2
+        g = build()
+        n = g.n
+        tracemalloc.start()
+        try:
+            index_report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * n
 
 
 class TestDiameterAndDegrees:

@@ -172,6 +172,19 @@ class TestDistances:
         with pytest.raises(InvalidParameterError, match="non-negative integers"):
             mu_distance_matrix(dg)
 
+    @pytest.mark.parametrize(
+        "dg",
+        [
+            np.array([[0, 0], [0, 0]], dtype=np.uint16),  # distinct vertices 0 apart
+            np.array([[0, 1, 1], [1, 0, 1], [1, 2, 0]]),
+            np.array([[1, 1], [1, 0]]),
+        ],
+        ids=["zero_off_diagonal", "asymmetric", "nonzero_diagonal"],
+    )
+    def test_matrix_that_no_graph_has_rejected(self, dg):
+        with pytest.raises(InvalidParameterError, match="symmetric, and 0 on the diagonal alone"):
+            mu_distance_matrix(dg)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.uint64])
     def test_integer_matrices_of_any_width_are_read_alike(self, dtype):
         dg = all_pairs_distances(path(6))
