@@ -95,8 +95,17 @@ def test_verify_report_with_timings():
          "8cfc7a95109fedcf5f54e5a15bf8d5442c6bc1e5d1aadd52e684d7f5eec8b91f"),
         (("verify", "--enumerate", "5", "--relax-diameter"), 4,
          "f72099cf498addb1271172bb4b38656ee6769c25d51203f420f15a774d4dfa1a"),
+        # budget 2 against diameter 500: the matrix goes through the blocked kernel
+        (("verify", "--family", "cycle:1000"), 0,
+         "9a8541c54ff680846f9c4edbbe69b97e89fb428dd895c979f9c0aa4ba0922dfa"),
     ],
-    ids=["enumerate_6", "mycielskian_gnp300", "mycielskian_gnp1000", "verify_5_relaxed"],
+    ids=[
+        "enumerate_6",
+        "mycielskian_gnp300",
+        "mycielskian_gnp1000",
+        "verify_5_relaxed",
+        "verify_cycle1000",
+    ],
 )
 def test_output_sha256(args, status, sha256):
     code, out = run_cli(*args)
