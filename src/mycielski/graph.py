@@ -18,7 +18,7 @@ bitwise arithmetic only and returns the exact distances as a read-only
 of ``verify`` (obs2, thm_dd) run it on the explicitly built Mycielskian.
 ``index_report`` runs the same search with its second sink, which adds
 each level's missing bits into the per-source distance sums and builds no
-``(n, n)`` array.
+``(n, n)`` array; both sinks hand the kernel the same two word levels.
 """
 
 from __future__ import annotations
@@ -210,20 +210,22 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
       total stays within n (n + 2m), one sparse BFS from every source
       (``_word_level_budget``). On a small-diameter graph that is every level.
     - Rows still incomplete after that go on in the blocked kernel, 128
-      source rows at a time, from the last word level k: the frontier is
-      the pairs at distance k and the next level is k + 1 (with no word
-      levels, k = 0 and the frontier is the diagonal). A level gathers the
-      frontier vertices' neighbour lists, in parts of at most one gather
-      (``_GATHER_EDGES``) cut at cumulative degree, and keeps the pairs not
-      seen before. It costs the frontier's edge count, so the kernel stays
+      source rows at a time, from the last word levels R_k and R_{k-1}: the
+      frontier is the pairs at distance k and the next level is k + 1 (with
+      no word levels, k = 0 and the frontier is the diagonal), and the result
+      takes each block's distances outside R_{k-1} by ``np.maximum``. A level
+      gathers the frontier vertices' neighbour lists, in parts of at most one
+      gather (``_GATHER_EDGES``) cut at cumulative degree, and keeps the pairs
+      not seen before. It costs the frontier's edge count, so the kernel stays
       within O(n (n + m)) for any diameter.
 
     Memory is the 2 n^2 bytes of the uint16 result, which is the word
     levels' level count, with no int64 copy. The numpy word levels add two
     word arrays of n^2/8 bytes, the n^2 bytes of one level's unpacked bits
     and the gathered rows of one vertex chunk (see ``_GATHER_EDGES``). The
-    blocked kernel adds O(128 n) per level and a few int64 arrays over one
-    part's gathered edges, about n^2 / 8 of them.
+    blocked kernel keeps the two word arrays and adds a 128-row block,
+    O(128 n) per level and a few int64 arrays over one part's gathered
+    edges, about n^2 / 8 of them.
 
     Raises InvalidParameterError, before allocating anything, when n
     exceeds ``_EXACT_ORDER_LIMIT``, the order up to which every int64
@@ -239,9 +241,10 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
     """The BFS of ``all_pairs_distances``, and the diameter.
 
     Returns the read-only uint16 matrix with ``matrix``, else the int64
-    distance sums T(s) = sum over v of d(s, v) with no (n, n) array: each
-    word level adds its missing bits per row into T, and each kernel block
-    runs on a 128-row scratch and adds k - last for each pair found at level k.
+    distance sums T(s) = sum over v of d(s, v) with no (n, n) array. Either
+    holds min(d(s, v), last) after the word levels; each kernel block runs
+    on a 128-row scratch of the distances outside R_{last-1}, which the
+    matrix takes by ``np.maximum`` and T as k - last per pair found at k.
     """
     n = g.n
     if n > _EXACT_ORDER_LIMIT:
@@ -254,27 +257,22 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
         raise DisconnectedError("vertex 0 cannot reach the whole graph")
     nbr = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.int64, count=2 * g.m)
     first_nbr = np.cumsum(deg) - deg
-    sums = None if matrix else np.zeros(n, dtype=np.int64)
-    d, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m), sums)
-    if d is None or (matrix and not d.flags.writeable):  # every row is full: no block scan
-        return (d if matrix else sums), last
-    gather = _GATHER_EDGES * n * -(-n // 64)
+    # the matrix is a uint16 level count: fewer than n <= 55,000 levels run
+    out = np.zeros((n, n), dtype=np.uint16) if matrix else np.zeros(n, dtype=np.int64)
+    state, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m), out)
     top = last
-    for lo in range(0, n, _BLOCK_ROWS):
-        if matrix:
-            rows = d[lo : lo + _BLOCK_ROWS]
-        else:  # _UNSEEN outside R_last, last on its frontier and 0 inside R_{last-1}:
-            # a bit of R_last steps _UNSEEN down to last, one of R_{last-1} last down to 0
-            rows = np.full((min(_BLOCK_ROWS, n - lo), n), _UNSEEN)
-            for words, step in zip(d, (_UNSEEN - last, last)):
-                bits = words[lo : lo + _BLOCK_ROWS].view(np.uint8)
-                rows -= np.unpackbits(bits, axis=1, count=n, bitorder="little") * np.uint16(step)
+    gather = _GATHER_EDGES * n * -(-n // 64)
+    for lo in range(0, n, _BLOCK_ROWS) if state else ():  # None: every row is full
+        # _UNSEEN outside R_last, last on its frontier and 0 inside R_{last-1}:
+        # a bit of R_last steps _UNSEEN down to last, one of R_{last-1} last down to 0
+        rows = np.full((min(_BLOCK_ROWS, n - lo), n), _UNSEEN)
+        for words, step in zip(state, (_UNSEEN - last, last)):
+            bits = words[lo : lo + _BLOCK_ROWS].view(np.uint8)
+            rows -= np.unpackbits(bits, axis=1, count=n, bitorder="little") * np.uint16(step)
         b = len(rows)
-        flat = rows.reshape(-1)  # a view: rows of d are contiguous
+        flat = rows.reshape(-1)  # pair (s, v) is (s - lo)*n + v
         reached = np.count_nonzero(flat != _UNSEEN)
-        if reached == b * n:
-            continue
-        keys = np.flatnonzero(flat == last)  # pair (s, v) is (s - lo)*n + v
+        keys = np.flatnonzero(flat == last)
         k = last
         while keys.size and reached < b * n:
             k += 1
@@ -303,11 +301,13 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
         if reached < b * n:
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
         top = max(top, k)
-        if not matrix:  # T holds min(d, last) per pair, so a pair found at k adds k - last
-            sums[lo : lo + b] += np.maximum(rows, last).sum(axis=1, dtype=np.int64) - n * last
-    if matrix:
-        d.setflags(write=False)
-    return (d if matrix else sums), top
+        block = out[lo : lo + b]
+        if matrix:  # block holds min(d, last); rows 0 inside R_{last-1} and d outside
+            np.maximum(block, rows, out=block)
+        else:  # T holds min(d, last) per pair, so a pair found at k adds k - last
+            block += np.maximum(rows, last).sum(axis=1, dtype=np.int64) - n * last
+    out.setflags(write=not matrix)  # the matrix is read-only
+    return out, top
 
 
 def _word_level_budget(n: int, m: int) -> int:
@@ -322,7 +322,7 @@ def _word_level_budget(n: int, m: int) -> int:
 
 
 def _numpy_word_levels(
-    n: int, nbr: np.ndarray, first_nbr: np.ndarray, budget: int, sums: np.ndarray | None
+    n: int, nbr: np.ndarray, first_nbr: np.ndarray, budget: int, count: np.ndarray
 ) -> tuple:
     """At most ``budget`` levels of the word recurrence on a uint64 array.
 
@@ -333,14 +333,12 @@ def _numpy_word_levels(
     (none may be empty), in vertex chunks of about ``_GATHER_EDGES`` * n
     gathered rows. Before each level the bits missing from R_k are counted
     (none: every row is full; as many as a level before: DisconnectedError)
-    and added into the uint16 count ``d``, so it holds ``min(dist(s, v), k)``.
+    and added into ``count``, which then holds min(dist(s, v), k): unpacked
+    into the ``(n, n)`` uint16 matrix, or counted per row through
+    ``_POPCOUNT``, with no n^2 unpack, into the ``(n,)`` int64 sums T.
 
-    Returns ``(d, k)`` with ``d`` exact where the distance is at most k and
-    ``_UNSEEN`` elsewhere: the whole matrix, read-only, once every row is
-    full, else the state after ``budget`` levels for the blocked kernel.
-    With ``sums`` the missing bits are counted per row through ``_POPCOUNT``,
-    with no n^2 unpack, and added into ``sums``; ``d`` is then None once every
-    row is full, else ``(R_k, R_{k-1})`` for the blocked kernel.
+    Returns ``(None, k)`` once every row is full, at the diameter k, else
+    ``((R_k, R_{k-1}), k)`` after ``budget`` levels for the blocked kernel.
     """
     words = -(-n // 64)
     r = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1, bitorder="little")
@@ -352,11 +350,9 @@ def _numpy_word_levels(
         (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
         for a, b in zip(cuts, cuts[1:])
     ]
-    # a uint16 count: fewer than n <= 55,000 levels run
-    d = np.zeros((n, n), dtype=np.uint16) if sums is None else sums
     k, before = 0, -1
     while True:
-        if sums is None:
+        if count.ndim == 2:
             missing = np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
             left = np.count_nonzero(missing)
         else:  # the padding bits past n are never set
@@ -365,13 +361,8 @@ def _numpy_word_levels(
         if left == before:  # no row grew
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
         if not left or k == budget:  # full comes first: rows that fill there finish here
-            if sums is not None:
-                return ((r, grown) if left else None), k
-            if left:
-                np.copyto(d, _UNSEEN, where=missing.view(bool))
-            d.setflags(write=bool(left))
-            return d, k
-        d += missing
+            return ((r, grown) if left else None), k
+        count += missing
         del missing  # freed before the gather, which holds about as much
         for a, b, chunk_nbr, offsets in chunks:
             # the gathered rows are freed at once, before the next chunk or unpack

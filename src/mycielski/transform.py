@@ -72,11 +72,14 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
       original- shadow, i != j    d(i, j) if d(i, j) <= 2 else 3
 
     The result agrees entrywise with BFS on the constructed Mycielskian
-    and is a read-only uint16 array. A non-square ``dg``, one not all
+    and is a read-only uint16 array. A ``dg`` that is no numpy array (a
+    nested list is not read as one), a non-square one, one not all
     non-negative integers below n, or one not symmetric with zeros on its
     diagonal alone, raises InvalidParameterError, and K1's ``[[0]]``
     TooSmallError: mu(K1) has an isolated vertex.
     """
+    if not isinstance(dg, np.ndarray):
+        raise InvalidParameterError(f"distance matrix is a {type(dg).__name__}, not a numpy array")
     if dg.ndim != 2 or dg.shape[0] != dg.shape[1]:
         raise InvalidParameterError(f"distance matrix is {dg.shape}, not square")
     if dg.dtype.kind not in "iu" or dg.dtype.kind == "i" and (dg < 0).any():

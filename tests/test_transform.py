@@ -154,6 +154,10 @@ class TestDistances:
             mu_distance_matrix(all_pairs_distances(path(4))[:3])
         with pytest.raises(InvalidParameterError, match="not square"):
             mu_distance_matrix(np.zeros(4, dtype=np.int64))
+        with pytest.raises(InvalidParameterError, match="is a list, not a numpy array"):
+            mu_distance_matrix([[0, 1], [1, 0]])
+        with pytest.raises(InvalidParameterError, match="is a NoneType, not a numpy array"):
+            mu_distance_matrix(None)
 
     @pytest.mark.parametrize(
         "dg",
