@@ -12,7 +12,9 @@
   bytes), the Mycielskians of the two benchmark gnp graphs (308,386 and
   263,422 bytes; each edge list holds every edge of G in order, so these
   pin the gnp draws and the Graph built from their edge array) and the
-  relaxed n=5 verification report, which must exit 4 (128,126 bytes);
+  relaxed n=5 and n=6 verification reports, which must exit 4 (128,126
+  and 7,529,500 bytes; the n=6 one lists 15,780 failures from 52 failing
+  classes, each member checked on its own labels);
 - each claim run alone on n=5 (--claims ID) against that claim's object in
   the full n=5 report, since a claim run alone must compute for itself
   what it shares with the other claims in a full run.
@@ -95,6 +97,8 @@ def test_verify_report_with_timings():
          "8cfc7a95109fedcf5f54e5a15bf8d5442c6bc1e5d1aadd52e684d7f5eec8b91f"),
         (("verify", "--enumerate", "5", "--relax-diameter"), 4,
          "f72099cf498addb1271172bb4b38656ee6769c25d51203f420f15a774d4dfa1a"),
+        (("verify", "--enumerate", "6", "--relax-diameter"), 4,
+         "44b22fe5177f3b433ab81b258368b6e5f0f915c4735a000a36145a38594ea9d2"),
         # budget 2 against diameter 500: the matrix goes through the blocked kernel
         (("verify", "--family", "cycle:1000"), 0,
          "9a8541c54ff680846f9c4edbbe69b97e89fb428dd895c979f9c0aa4ba0922dfa"),
@@ -104,6 +108,7 @@ def test_verify_report_with_timings():
         "mycielskian_gnp300",
         "mycielskian_gnp1000",
         "verify_5_relaxed",
+        "verify_6_relaxed",
         "verify_cycle1000",
     ],
 )
