@@ -150,7 +150,8 @@ _SOURCES = {
     "--family": {"metavar": "SPEC",
                  "help": f"NAME or NAME:P1,P2,... with NAME one of {', '.join(FAMILIES)}"},
     "--enumerate": {"type": int, "metavar": "N",
-                    "help": "all labeled connected graphs on N vertices (N <= 6)"},
+                    "help": "all labeled connected graphs on N vertices "
+                            f"(N <= {generators.ENUMERATION_CAP})"},
     "--gnp": {"metavar": "N,P,SEED", "help": "seeded connected G(n,p) corpus"},
 }
 

@@ -4,10 +4,11 @@ Distance-based indices are exact integers, summed in int64 from the
 per-source distance sums of the package's one BFS, which refuses any order
 too large for those sums to stay exact. ``index_report`` gives the
 diameter, W and DD from one run of it that builds no distance matrix;
-``verify`` sums DD and lemma3's distance-2 degree sum on the matrices of
-``all_pairs_distances`` it already holds. Randić-type quantities are
-doubles accumulated left to right over the canonically sorted edge list,
-so repeated runs produce bit-identical values.
+``verify`` gets DD, and lemma3's distance-2 degree sum, from the one pair
+sum ``_degree_distance`` on row sums of the matrices it already holds.
+Randić-type quantities are doubles accumulated left to right over the
+canonically sorted edge list, so repeated runs produce bit-identical
+values.
 
 ``dd_mycielskian_closed`` is the paper's degree-distance theorem as a
 bare polynomial of four indices of G. It runs no BFS and checks no
@@ -28,7 +29,9 @@ from .graph import Graph, _distance_levels
 
 
 def _degree_distance(g: Graph, rows: np.ndarray) -> int:
-    """Pair sum of d(u, v) (deg u + deg v), regrouped by ``rows``, the row sums of symmetric d."""
+    """Pair sum of w(u, v) (deg u + deg v), regrouped by ``rows``, the row sums of symmetric w.
+
+    With w = d it is DD; with w the indicator of d == 2, lemma3's distance-2 degree sum."""
     return int(np.asarray(g.degrees, dtype=np.int64) @ rows)
 
 
@@ -46,12 +49,6 @@ def randic(g: Graph) -> float:
     for u, v in g.edges:
         total += 1.0 / sqrt(degrees[u] * degrees[v])
     return total
-
-
-def _distance2_degree_sum(g: Graph, d: np.ndarray) -> int:
-    """Pair sum over d(u, v) == 2 of (deg u + deg v), regrouped by the symmetric rows of d."""
-    deg = np.asarray(g.degrees, dtype=np.int64)
-    return int(deg @ (d == 2).sum(axis=1, dtype=np.int64))
 
 
 def dd_mycielskian_closed(n: int, m: int, m1: int, dd: int) -> int:

@@ -14,14 +14,19 @@ Failures carry the full edge list, so any report line can be replayed on
 its own. Corpus runs count graphs outside a claim's hypothesis as skipped.
 ``verify_classes`` checks each isomorphism class once, weighted by size.
 
-The claims share per-graph values, each computed at most once and only if
-a requested claim needs it: mu(G), the BFS distances of G and of the
-built mu, R(mu) and the Randić bounds of G. With every claim, a graph
-costs one Mycielskian build, one BFS on G and one BFS on mu. The oracles
-are still BFS on the explicitly built mu and brute-force sums; the closed
-forms read only G's data. A shared value is computed, and timed, in the
-first claim that needs it: with every claim, obs1 builds mu, obs2 runs
-both BFS and thm_dd reads their distances.
+The claims share facts about each graph, each computed at most once and
+only if a requested claim needs it: mu(G), the BFS distances of G and of
+the built mu, R(mu), the Randić bounds of G and its hypotheses. With
+every claim, a graph costs one Mycielskian build, one BFS on G and one
+BFS on mu, even if a claim fails on it; of a failing class, the member
+equal to the class graph reuses its facts, and each other member, on
+labels of its own, gets its own. The oracles are still BFS on the
+explicitly built mu and brute-force sums; the closed forms read only G's
+data. A shared value is computed, and timed, in the first claim that
+needs it: with every claim, obs1 builds mu, obs2 runs both BFS and
+thm_dd reads their distances. The claim table alone names each claim's
+hypothesis; ``relax_diameter`` picks, once per run, the table in which
+thm_dd needs only a connected graph.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .errors import (
 from .graph import Graph, all_pairs_distances
 from .indices import (
     _degree_distance,
-    _distance2_degree_sum,
     dd_mycielskian_closed,
     first_zagreb,
     randic,
@@ -108,21 +112,15 @@ class VerificationOutcome:
 
 
 class _Shared(dict):
-    """What the claims share about one graph, each value computed at most once.
+    """Facts about one graph ``shared["g"]``, each computed at most once.
 
     ``shared[key]`` computes its value by ``_COMPUTE[key]`` on first use and
     keeps it, so a run computes only what its requested claims need, in the
     first claim that needs it.
     """
 
-    __slots__ = ("g", "relax_diameter")
-
-    def __init__(self, g: Graph, relax_diameter: bool):
-        super().__init__()
-        self.g, self.relax_diameter = g, relax_diameter
-
     def __missing__(self, key: str):
-        value = self[key] = _COMPUTE[key](self.g, self)
+        value = self[key] = _COMPUTE[key](self["g"], self)
         return value
 
 
@@ -148,9 +146,6 @@ _COMPUTE = {
     ),
     "connected": lambda g, s: s["g_connected"] or s["no_isolated"],
     "diameter_two": lambda g, s: s["g_connected"] or _not_two(g, s),
-    "diameter_two_or_relaxed": lambda g, s: (
-        s["connected"] if s.relax_diameter else s["diameter_two"]
-    ),
     "regular": lambda g, s: s["no_isolated"] or (
         InvalidParameterError("the claim needs a regular graph")
         if min(g.degrees) != max(g.degrees) else None
@@ -182,7 +177,8 @@ def _check_obs2(g: Graph, shared: _Shared):
 
 
 def _check_lemma3(g: Graph, shared: _Shared):
-    brute = _distance2_degree_sum(g, shared["dg"])
+    # DD's pair sum over the pairs at distance 2 alone; the formula reads only n, m and M1
+    brute = _degree_distance(g, (shared["dg"] == 2).sum(axis=1, dtype=np.int64))
     formula = 2 * (g.n - 1) * g.m - first_zagreb(g)
     return 1, brute == formula, brute, formula
 
@@ -211,10 +207,12 @@ _CLAIMS = {
     "obs1": ("no_isolated", _check_obs1),
     "obs2": ("connected", _check_obs2),
     "lemma3": ("diameter_two", _check_lemma3),
-    "thm_dd": ("diameter_two_or_relaxed", _check_thm_dd),
+    "thm_dd": ("diameter_two", _check_thm_dd),
     "randic_bounds": ("no_isolated", _check_randic_bounds),
     "randic_equality": ("regular", _check_randic_equality),
 }
+# relax_diameter: thm_dd evaluates its polynomial on any connected graph
+_RELAXED_CLAIMS = {**_CLAIMS, "thm_dd": ("connected", _check_thm_dd)}
 
 CLAIM_IDS = tuple(_CLAIMS)
 
@@ -226,11 +224,12 @@ def _run(
     unknown = requested - set(CLAIM_IDS)
     if unknown:
         raise ValueError(f"unknown claim ids: {sorted(unknown)}")
-    active = [(c, *_CLAIMS[c]) for c in CLAIM_IDS if c in requested]
+    table = _RELAXED_CLAIMS if relax_diameter else _CLAIMS
+    active = [(c, *table[c]) for c in CLAIM_IDS if c in requested]
     outcomes = {c: VerificationOutcome(c) for c, _, _ in active}
 
     for g, members in classes:
-        shared = _Shared(g, relax_diameter)
+        shared = _Shared(g=g)
         for claim, hypothesis, check in active:
             out = outcomes[claim]
             started = time.perf_counter()
@@ -239,7 +238,7 @@ def _run(
                 checked, holds, _, _ = check(g, shared)
                 out.checked += checked * len(members)
                 for h in () if holds else members:  # each member's own failure, if g fails
-                    _, holds, expected, actual = check(h, _Shared(h, relax_diameter))
+                    _, holds, expected, actual = check(h, shared if h == g else _Shared(g=h))
                     if not holds:
                         out.failures.append(Failure(h.edges, expected, actual))
             elif strict:

@@ -215,6 +215,14 @@ class TestEnumerate:
         assert blocks[-1] == "3 3\n0 1\n0 2\n1 2"
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+def test_enumerate_help_names_the_cap(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # joined, so that wrapping cannot split the bound
+    assert f"(N <= {generators.ENUMERATION_CAP})" in " ".join(capsys.readouterr().out.split())
+
+
 class TestExitStatuses:
     def test_usage_errors(self):
         assert run_process("compute")[0] == 1  # no input source

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -21,7 +22,7 @@ from mycielski.generators import (
 )
 from mycielski.graph import Graph, all_pairs_distances
 from mycielski.indices import (
-    _distance2_degree_sum,
+    _degree_distance,
     dd_mycielskian_closed,
     first_zagreb,
     index_report,
@@ -32,6 +33,11 @@ from mycielski.transform import mycielskian
 from mycielski.verify import verify_graph
 
 from conftest import bfs_distances, connected_graphs
+
+
+def distance2_degree_sum(g):
+    """lemma3's oracle: the degree-weighted pair sum over the pairs at distance 2."""
+    return _degree_distance(g, (all_pairs_distances(g) == 2).sum(axis=1, dtype=np.int64))
 
 
 class TestWiener:
@@ -128,14 +134,14 @@ class TestDistance2DegreeSum:
         ids=["K1_4", "C4", "K4", "C5"],
     )
     def test_values(self, g, expected):
-        assert _distance2_degree_sum(g, all_pairs_distances(g)) == expected
+        assert distance2_degree_sum(g) == expected
 
     @pytest.mark.parametrize(
         "g", [star(4), cycle(4), complete(4), cycle(5), petersen()],
         ids=["K1_4", "C4", "K4", "C5", "Petersen"],
     )
     def test_identity_when_diameter_two_or_less(self, g):
-        d2 = _distance2_degree_sum(g, all_pairs_distances(g))
+        d2 = distance2_degree_sum(g)
         assert d2 == 2 * (g.n - 1) * g.m - first_zagreb(g)
 
 
@@ -147,7 +153,7 @@ class TestRowSumForms:
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         weight = {(u, v): g.degrees[u] + g.degrees[v] for u, v in pairs}
         assert index_report(g).degree_distance == sum(int(d[p]) * weight[p] for p in pairs)
-        d2 = _distance2_degree_sum(g, all_pairs_distances(g))
+        d2 = distance2_degree_sum(g)
         assert d2 == sum(weight[p] for p in pairs if d[p] == 2)
 
 
@@ -269,10 +275,7 @@ class TestExactOrderGuard:
             all_pairs_distances,
             pytest.param(lambda g: index_report(g).wiener, id="wiener"),
             pytest.param(lambda g: index_report(g).degree_distance, id="degree_distance"),
-            pytest.param(
-                lambda g: _distance2_degree_sum(g, all_pairs_distances(g)),
-                id="distance2_degree_sum",
-            ),
+            pytest.param(distance2_degree_sum, id="distance2_degree_sum"),
             index_report,
         ],
         ids=lambda fn: fn.__name__,

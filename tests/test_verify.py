@@ -90,16 +90,18 @@ class TestSingleGraphChecks:
             ("obs2", Graph(4, [(0, 1), (2, 3)]), DisconnectedError),
             ("obs2", Graph(3, [(0, 1)]), DisconnectedError),
             ("lemma3", Graph(4, [(0, 1), (2, 3)]), DisconnectedError),
+            ("lemma3", path(4), DiameterNotTwoError),
             ("thm_dd", Graph(4, [(0, 1), (2, 3)]), DisconnectedError),
             ("randic_bounds", Graph(3, [(0, 1)]), TooSmallError),
             ("randic_equality", Graph(3), TooSmallError),
         ],
         ids=["obs1-isolated", "obs1-K1", "obs2-2K2", "obs2-isolated", "lemma3-2K2",
-             "thm_dd-2K2", "randic-isolated", "equality-edgeless"],
+             "lemma3-P4", "thm_dd-2K2", "randic-isolated", "equality-edgeless"],
     )
     def test_outside_hypothesis_raises(self, claim, g, error):
+        # relax_diameter widens thm_dd's hypothesis alone, and only to connected graphs
         with pytest.raises(error):
-            verify_graph(claim, g, relax_diameter=claim == "thm_dd")
+            verify_graph(claim, g, relax_diameter=True)
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):
@@ -250,6 +252,31 @@ class TestSharedWork:
         assert on_g == corpus
         assert [id(g) for g in on_mu] == [id(layout.mu) for _, layout in built]
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g: verify_corpus(["thm_dd"], [g], relax_diameter=True),
+            lambda g: [verify_graph("thm_dd", g, relax_diameter=True)],
+        ],
+        ids=["verify_corpus", "verify_graph"],
+    )
+    def test_a_failing_graph_reuses_its_own_mu_and_bfs(self, monkeypatch, run):
+        built = _record_calls(monkeypatch, "mycielskian")
+        bfs = _record_calls(monkeypatch, "all_pairs_distances")
+        (out,) = run(path(5))
+        assert len(out.failures) == 1
+        assert len(built) == 1 and len(bfs) == 2
+
+    def test_only_the_other_members_of_a_failing_class_get_their_own_mu(self, monkeypatch):
+        classes = connected_classes(5)
+        built = _record_calls(monkeypatch, "mycielskian")
+        bfs = _record_calls(monkeypatch, "all_pairs_distances")
+        outcomes = verify_classes(CLAIM_IDS, classes, relax_diameter=True)
+        failing = {f.edges for o in outcomes for f in o.failures}
+        others = sum(len(m) - 1 for _, m in classes if any(h.edges in failing for h in m))
+        assert len(built) == len(classes) + others == 375
+        assert len(bfs) == 2 * len(built)
+
     def test_lemma3_alone_builds_no_mu(self, monkeypatch):
         built = _record_calls(monkeypatch, "mycielskian")
         bfs = _record_calls(monkeypatch, "all_pairs_distances")
@@ -336,7 +363,7 @@ class TestFailureReports:
         "claim,name,fake,spec,checked,expected,actual",
         [
             # the brute-force sum is the oracle, so it lands in expected
-            ("lemma3", "_distance2_degree_sum", lambda f: lambda g, d: f(g, d) + 1,
+            ("lemma3", "_degree_distance", lambda f: lambda g, rows: f(g, rows) + 1,
              "petersen", 1, 181, 180),
             # brute force on the built mu is the oracle, the closed form the actual
             ("thm_dd", "dd_mycielskian_closed", lambda f: lambda *a: f(*a) + 1,
