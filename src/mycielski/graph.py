@@ -11,8 +11,10 @@ and one loop over that list builds the sorted neighbour tuples, so both
 give equal graphs of Python ints and the same errors.
 
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
-from every source at once: on uint64 word bitsets, and past a level budget
-in a blocked kernel of bounded neighbour-list gathers. It does integer and
+from every source at once: on uint64 word bitsets, stored words-major as
+one ``(ceil(n/64), n)`` array whose row w holds word w of every source's
+bitset, and past a level budget in a blocked kernel of bounded
+neighbour-list gathers. It does integer and
 bitwise arithmetic only and returns the exact distances as a read-only
 ``(n, n)`` uint16 array, the level count itself. The brute-force oracles
 of ``verify`` (obs2, thm_dd) run it on the explicitly built Mycielskian.
@@ -179,12 +181,26 @@ _EXACT_ORDER_LIMIT = 55_000
 _UNSEEN = np.uint16(0xFFFF)
 # Sources per block: a block's working arrays stay O(128 n).
 _BLOCK_ROWS = 128
-# One gather holds about n^2 bytes, half the uint16 result, on a graph
-# of any density: a numpy word level gathers the ceil(n/64)-word rows of this
-# many times n neighbours, a blocked-kernel level that many words of pair keys.
+# One gather holds about n^2 bytes, half the uint16 result, on a graph of
+# any density: up to this many times n ceil(n/64) words of one word row in a
+# numpy word level, or int64 pair keys in a blocked-kernel level.
 _GATHER_EDGES = 8
-# Set bits of each byte value, for counting a row's words with no n^2 unpack
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+# R_0's 64 words: word i holds bit i alone
+_UNIT = np.packbits(np.eye(64, dtype=bool), axis=1, bitorder="little").view(np.uint64).ravel()
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each word of a uint64 array by SWAR: bit pairs, nibbles and
+    bytes summed in one new array, then the bytes by one wrapping multiply.
+    Every operand is np.uint64, so numpy 1.24's value-based promotion keeps uint64."""
+    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    pairs = (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
+    x &= np.uint64(0x3333333333333333)
+    x += pairs
+    x += x >> np.uint64(4)
+    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    x *= np.uint64(0x0101010101010101)
+    return np.right_shift(x, np.uint64(56), out=x)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -201,11 +217,11 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
     levels whose row lacks v, which is ``min(dist(s, v), k)`` after k levels
     and the distance once every row is full. Two forms run this BFS:
 
-    - In the numpy word levels a row is ``ceil(n/64)`` uint64 words of an
-      ``(n, ceil(n/64))`` array, a level is one gather of the neighbours' rows
-      and one ``bitwise_or.reduceat`` over the neighbour tuples of ``g.adjacency``
-      laid end to end, and each level's missing bits are counted and added into
-      a level count. A level costs 2m ceil(n/64) word operations plus n^2 for
+    - In the numpy word levels R_k is one ``(ceil(n/64), n)`` uint64 array
+      whose row w holds word w of every source, a level is one gather of each
+      word row at the neighbours and one ``bitwise_or.reduceat`` over the
+      neighbour tuples of ``g.adjacency`` laid end to end, and each level's
+      missing bits are counted and added into a level count. A level costs 2m ceil(n/64) word operations plus n^2 for
       reading the bits, so past 64 vertices these levels run only while their
       total stays within n (n + 2m), one sparse BFS from every source
       (``_word_level_budget``). On a small-diameter graph that is every level.
@@ -221,9 +237,10 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
 
     Memory is the 2 n^2 bytes of the uint16 result, which is the word
     levels' level count, with no int64 copy. The numpy word levels add two
-    word arrays of n^2/8 bytes, the n^2 bytes of one level's unpacked bits
-    and the gathered rows of one vertex chunk (see ``_GATHER_EDGES``). The
-    blocked kernel keeps the two word arrays and adds a 128-row block,
+    word arrays of n^2/8 bytes, each level's bits by source (an n^2/8 copy,
+    freed once unpacked), the n^2 bytes of one level's unpacked bits and one
+    word row's gathered words of one vertex chunk (see ``_GATHER_EDGES``).
+    The blocked kernel keeps the two word arrays and adds a 128-row block,
     O(128 n) per level and a few int64 arrays over one part's gathered
     edges, about n^2 / 8 of them.
 
@@ -267,7 +284,8 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
         # a bit of R_last steps _UNSEEN down to last, one of R_{last-1} last down to 0
         rows = np.full((min(_BLOCK_ROWS, n - lo), n), _UNSEEN)
         for words, step in zip(state, (_UNSEEN - last, last)):
-            bits = words[lo : lo + _BLOCK_ROWS].view(np.uint8)
+            # the block's sources by row: a copy of at most n^2/8 bytes, a view for one word
+            bits = np.ascontiguousarray(words[:, lo : lo + _BLOCK_ROWS].T).view(np.uint8)
             rows -= np.unpackbits(bits, axis=1, count=n, bitorder="little") * np.uint16(step)
         b = len(rows)
         flat = rows.reshape(-1)  # pair (s, v) is (s - lo)*n + v
@@ -326,26 +344,30 @@ def _numpy_word_levels(
 ) -> tuple:
     """At most ``budget`` levels of the word recurrence on a uint64 array.
 
-    Row s of ``r`` holds R_k[s] as ``ceil(n/64)`` uint64 words, vertex v at
-    bit v % 8 of byte v // 8 (only bitwise operations touch them), and a
-    level ORs each row with the rows of its neighbours: one gather of
-    ``r[nbr]`` and one ``bitwise_or.reduceat`` over the neighbour lists
-    (none may be empty), in vertex chunks of about ``_GATHER_EDGES`` * n
-    gathered rows. Before each level the bits missing from R_k are counted
-    (none: every row is full; as many as a level before: DisconnectedError)
-    and added into ``count``, which then holds min(dist(s, v), k): unpacked
-    into the ``(n, n)`` uint16 matrix, or counted per row through
-    ``_POPCOUNT``, with no n^2 unpack, into the ``(n,)`` int64 sums T.
+    ``r`` is words-major, ``(ceil(n/64), n)``: column s holds R_k[s], vertex
+    v at the bit ``_UNIT[v % 64]`` sets in word v // 64 (only bitwise
+    operations touch them), seeded one word row at a time with no n^2
+    transient. A level ORs each column with its neighbours' columns: per
+    vertex chunk and word row, one gather of ``row[nbr]`` and one
+    ``bitwise_or.reduceat`` over the neighbour lists (none may be empty),
+    the chunks cut at about ``_GATHER_EDGES`` * n * ceil(n/64) edges. Before
+    each level the bits missing from R_k are counted (none: every row is
+    full; as many as a level before: DisconnectedError) and added into
+    ``count``, which then holds min(dist(s, v), k): unpacked from an n^2/8
+    copy by source into the ``(n, n)`` uint16 matrix, or counted by
+    ``_popcount`` and summed per column, with no n^2 unpack, into the
+    ``(n,)`` int64 sums T.
 
     Returns ``(None, k)`` once every row is full, at the diameter k, else
     ``((R_k, R_{k-1}), k)`` after ``budget`` levels for the blocked kernel.
     """
     words = -(-n // 64)
-    r = np.packbits(np.eye(n, 64 * words, dtype=bool), axis=1, bitorder="little")
-    r = r.view(np.uint64)  # R_0[s] = {s}
+    r = np.zeros((words, n), np.uint64)
+    for w in range(words):  # R_0[s] = {s}
+        r[w, 64 * w : 64 * w + 64] = _UNIT[: n - 64 * w]
     grown = np.zeros(r.shape, r.dtype)  # R_{-1} is empty
     bounds = np.append(first_nbr, nbr.size)  # vertex v's neighbours: bounds[v]..bounds[v+1]
-    cuts = _cuts(bounds[1:], _GATHER_EDGES * n)
+    cuts = _cuts(bounds[1:], _GATHER_EDGES * n * words)
     chunks = [
         (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
         for a, b in zip(cuts, cuts[1:])
@@ -353,10 +375,12 @@ def _numpy_word_levels(
     k, before = 0, -1
     while True:
         if count.ndim == 2:
-            missing = np.unpackbits((~r).view(np.uint8), axis=1, count=n, bitorder="little")
+            bits = np.invert(r.T, order="C").view(np.uint8)  # by source: an n^2/8 copy
+            missing = np.unpackbits(bits, axis=1, count=n, bitorder="little")
+            del bits
             left = np.count_nonzero(missing)
         else:  # the padding bits past n are never set
-            missing = n - _POPCOUNT[r.view(np.uint8)].sum(axis=1, dtype=np.int64)
+            missing = n - _popcount(r).sum(axis=0, dtype=np.int64)
             left = int(missing.sum())
         if left == before:  # no row grew
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
@@ -365,9 +389,10 @@ def _numpy_word_levels(
         count += missing
         del missing  # freed before the gather, which holds about as much
         for a, b, chunk_nbr, offsets in chunks:
-            # the gathered rows are freed at once, before the next chunk or unpack
-            ored = np.bitwise_or.reduceat(np.take(r, chunk_nbr, axis=0), offsets)
-            np.bitwise_or(r[a:b], ored, out=grown[a:b])
+            for row, out in zip(r, grown):
+                # the gathered words are freed at once, before the next row or unpack
+                ored = np.bitwise_or.reduceat(np.take(row, chunk_nbr), offsets)
+                np.bitwise_or(row[a:b], ored, out=out[a:b])
         r, grown = grown, r
         k, before = k + 1, left
 

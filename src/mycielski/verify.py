@@ -32,7 +32,7 @@ thm_dd needs only a connected graph.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
 import numpy as np
@@ -79,7 +79,12 @@ class Failure:
     actual: object
 
     def as_dict(self) -> dict:
-        return _fmt(asdict(self))
+        # built directly: dataclasses.asdict deep-copies every edge first
+        return {
+            "edges": [list(e) for e in self.edges],
+            "expected": _fmt(self.expected),
+            "actual": _fmt(self.actual),
+        }
 
 
 @dataclass

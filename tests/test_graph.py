@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mycielski import generators
 from mycielski.errors import (
@@ -32,6 +33,7 @@ from mycielski.graph import (
     _canonical_rows,
     _cuts,
     _numpy_word_levels,
+    _popcount,
     _word_level_budget,
     all_pairs_distances,
     format_edge_list,
@@ -794,9 +796,9 @@ class TestDistanceSums:
         ids=["gnp1000_0.02", "cycle1000", "path600"],
     )
     def test_index_report_holds_no_matrix(self, build):
-        # two word arrays of n^2/8 bytes, one vertex chunk's gathered rows
-        # (about n^2) and the byte counts of one level (n^2/8): about 1.6 n^2
-        # on the gnp graph, where a uint16 matrix alone would be 2 n^2
+        # two word arrays of n^2/8 bytes, one vertex chunk's gathered words
+        # and the popcount's temporaries: about 0.85 n^2 on the gnp graph,
+        # where a uint16 matrix alone would be 2 n^2
         g = build()
         n = g.n
         tracemalloc.start()
@@ -806,6 +808,54 @@ class TestDistanceSums:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * n * n
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: path(2000)],
+        ids=["gnp1000_0.02", "path2000"],
+    )
+    def test_index_report_peak_is_below_one_and_a_quarter_n2(self, build):
+        # the two word arrays (n^2/4 bytes), the popcount's few temporaries
+        # of n^2/8 and one gather of 2m words: traced at about 0.85 n^2
+        # on the gnp graph and 0.74 n^2 on the path, whose kernel blocks are
+        # O(128 n). Counting bits through a byte table gave 1.58 and 1.17 n^2.
+        g = build()
+        n = g.n
+        tracemalloc.start()
+        try:
+            index_report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n
+
+
+uint64_words = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+class TestPopcount:
+    """The sums sink counts each level's bits by ``_popcount``, so T(s) is exact only if it is."""
+
+    @given(st.lists(uint64_words, min_size=1, max_size=40))
+    def test_drawn_words(self, values):
+        counts = _popcount(np.array(values, dtype=np.uint64))
+        assert counts.dtype == np.uint64
+        assert counts.tolist() == [bin(w).count("1") for w in values]
+
+    @given(st.integers(1, 4), st.integers(1, 70), st.data())
+    def test_words_by_sources(self, words, n, data):
+        values = data.draw(st.lists(uint64_words, min_size=words * n, max_size=words * n))
+        x = np.array(values, dtype=np.uint64).reshape(words, n)
+        before = x.copy()
+        counts = _popcount(x)
+        assert counts.shape == (words, n)
+        assert counts.tolist() == [[bin(w).count("1") for w in row] for row in x.tolist()]
+        assert np.array_equal(x, before)  # the input is left as it was
+
+    def test_extremes_and_single_bits(self):
+        values = [0, 2**64 - 1] + [1 << i for i in range(64)]
+        counts = _popcount(np.array(values, dtype=np.uint64))
+        assert counts.tolist() == [0, 64] + [1] * 64
 
 
 class TestDiameterAndDegrees:
