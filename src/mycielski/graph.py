@@ -13,8 +13,8 @@ give equal graphs of Python ints and the same errors.
 ``all_pairs_distances`` is the package's one APSP, a breadth-first search
 from every source at once: on uint64 word bitsets, stored words-major as
 one ``(ceil(n/64), n)`` array whose row w holds word w of every source's
-bitset, and past a level budget in a blocked kernel of bounded
-neighbour-list gathers. It does integer and
+bitset, and once the frontier stops growing with many pairs left, in a
+blocked kernel of bounded neighbour-list gathers. It does integer and
 bitwise arithmetic only and returns the exact distances as a read-only
 ``(n, n)`` uint16 array, the level count itself. The brute-force oracles
 of ``verify`` (obs2, thm_dd) run it on the explicitly built Mycielskian.
@@ -221,11 +221,13 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
       whose row w holds word w of every source, a level is one gather of each
       word row at the neighbours and one ``bitwise_or.reduceat`` over the
       neighbour tuples of ``g.adjacency`` laid end to end, and each level's
-      missing bits are counted and added into a level count. A level costs 2m ceil(n/64) word operations plus n^2 for
-      reading the bits, so past 64 vertices these levels run only while their
-      total stays within n (n + 2m), one sparse BFS from every source
-      (``_word_level_budget``). On a small-diameter graph that is every level.
-    - Rows still incomplete after that go on in the blocked kernel, 128
+      missing bits are counted and added into a level count. A word operation
+      covers 64 pairs and a kernel level pays per frontier edge, so these
+      levels hand off only once the frontier (the pairs at distance k) is no
+      larger than the one before and the pairs left exceed 64 max(frontier, n),
+      more than 64 levels at that rate. At most 64 vertices leave at most
+      n^2 <= 64 n pairs, so such a graph never hands off.
+    - Rows still incomplete at the hand-off go on in the blocked kernel, 128
       source rows at a time, from the last word levels R_k and R_{k-1}: the
       frontier is the pairs at distance k and the next level is k + 1 (with
       no word levels, k = 0 and the frontier is the diagonal), and the result
@@ -276,7 +278,7 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
     first_nbr = np.cumsum(deg) - deg
     # the matrix is a uint16 level count: fewer than n <= 55,000 levels run
     out = np.zeros((n, n), dtype=np.uint16) if matrix else np.zeros(n, dtype=np.int64)
-    state, last = _numpy_word_levels(n, nbr, first_nbr, _word_level_budget(n, g.m), out)
+    state, last = _numpy_word_levels(n, nbr, first_nbr, out)
     top = last
     gather = _GATHER_EDGES * n * -(-n // 64)
     for lo in range(0, n, _BLOCK_ROWS) if state else ():  # None: every row is full
@@ -328,21 +330,10 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
     return out, top
 
 
-def _word_level_budget(n: int, m: int) -> int:
-    """Numpy word levels that cost no more than one sparse BFS from every source.
-
-    A level gathers ``ceil(n/64)`` words per edge end and reads n^2 bits;
-    a sparse BFS from every source visits n (n + 2m) vertices and edge ends.
-    That leaves out a level's fixed numpy cost, which outweighs its work when
-    a row is one word, so up to 64 vertices the budget is n: every level.
-    """
-    return n if n <= 64 else n * (n + 2 * m) // (2 * m * -(-n // 64) + n * n)
-
-
 def _numpy_word_levels(
-    n: int, nbr: np.ndarray, first_nbr: np.ndarray, budget: int, count: np.ndarray
+    n: int, nbr: np.ndarray, first_nbr: np.ndarray, count: np.ndarray, budget: int | None = None
 ) -> tuple:
-    """At most ``budget`` levels of the word recurrence on a uint64 array.
+    """Levels of the word recurrence on a uint64 array, until the stop test.
 
     ``r`` is words-major, ``(ceil(n/64), n)``: column s holds R_k[s], vertex
     v at the bit ``_UNIT[v % 64]`` sets in word v // 64 (only bitwise
@@ -352,14 +343,16 @@ def _numpy_word_levels(
     ``bitwise_or.reduceat`` over the neighbour lists (none may be empty),
     the chunks cut at about ``_GATHER_EDGES`` * n * ceil(n/64) edges. Before
     each level the bits missing from R_k are counted (none: every row is
-    full; as many as a level before: DisconnectedError) and added into
+    full; as many as a level before: DisconnectedError; see
+    ``all_pairs_distances`` for the hand-off) and added into
     ``count``, which then holds min(dist(s, v), k): unpacked from an n^2/8
     copy by source into the ``(n, n)`` uint16 matrix, or counted by
     ``_popcount`` and summed per column, with no n^2 unpack, into the
     ``(n,)`` int64 sums T.
 
     Returns ``(None, k)`` once every row is full, at the diameter k, else
-    ``((R_k, R_{k-1}), k)`` after ``budget`` levels for the blocked kernel.
+    ``((R_k, R_{k-1}), k)`` at the hand-off for the blocked kernel. An int
+    ``budget``, a test seam, replaces the hand-off test by ``k == budget``.
     """
     words = -(-n // 64)
     r = np.zeros((words, n), np.uint64)
@@ -372,7 +365,7 @@ def _numpy_word_levels(
         (a, b, nbr[bounds[a] : bounds[b]], first_nbr[a:b] - bounds[a])
         for a, b in zip(cuts, cuts[1:])
     ]
-    k, before = 0, -1
+    k, before, grew = 0, n * n, 0
     while True:
         if count.ndim == 2:
             bits = np.invert(r.T, order="C").view(np.uint8)  # by source: an n^2/8 copy
@@ -384,8 +377,13 @@ def _numpy_word_levels(
             left = int(missing.sum())
         if left == before:  # no row grew
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
-        if not left or k == budget:  # full comes first: rows that fill there finish here
+        frontier = before - left  # pairs at distance exactly k
+        # full comes first: rows that fill at the hand-off finish here
+        if not left or (
+            k == budget if budget is not None else frontier <= grew and left > 64 * max(frontier, n)
+        ):
             return ((r, grown) if left else None), k
+        grew = frontier
         count += missing
         del missing  # freed before the gather, which holds about as much
         for a, b, chunk_nbr, offsets in chunks:

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +35,6 @@ from mycielski.graph import (
     _cuts,
     _numpy_word_levels,
     _popcount,
-    _word_level_budget,
     all_pairs_distances,
     format_edge_list,
     parse_edge_list,
@@ -110,9 +110,53 @@ def word_bound_cases():
                 yield pytest.param(lambda build=build, n=n: build(n), id=f"{name}{n}")
 
 
-def unlimited_budget(n, m):
-    """A word-level budget no graph reaches: every diameter is below n."""
-    return n
+def grid(rows, cols):
+    """The rows x cols grid graph, vertex (i, j) at i * cols + j."""
+    right = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph(rows * cols, right + down)
+
+
+def sparse_gnp():
+    """gnp(1000, 0.005, 3): its first 720 draws are disconnected, so the graph
+    it returns is the first draw from state 723, taken here with no redraws."""
+    return erdos_renyi_connected(1000, 0.005, 723)
+
+
+# A word-level budget no graph reaches: every diameter is below n <= _EXACT_ORDER_LIMIT
+UNLIMITED = _EXACT_ORDER_LIMIT
+
+
+def patch_word_levels(monkeypatch, budget=None):
+    """Patch in the word levels stopped at level ``budget``, or by the default
+    rule with None, and record every call: ``handoffs`` gets each (k, handed
+    off) and ``raised`` the order n of each DisconnectedError raised there."""
+    levels = partial(_numpy_word_levels, budget=budget)
+    calls = SimpleNamespace(handoffs=[], raised=[])
+
+    def recorded(n, *args):
+        try:
+            state, k = levels(n, *args)
+        except DisconnectedError:
+            calls.raised.append(n)
+            raise
+        calls.handoffs.append((k, state is not None))
+        return state, k
+
+    monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+    return calls
+
+
+@st.composite
+def graphs_without_isolated_vertices(draw, max_n=64):
+    """Graphs of 2..max_n vertices, connected or not: each vertex is joined
+    to one drawn other vertex, and up to n more drawn pairs are added."""
+    n = draw(st.integers(2, max_n))
+    steps = draw(st.lists(st.integers(1, n - 1), min_size=n, max_size=n))
+    pairs = [(v, (v + step) % n) for v, step in enumerate(steps)]
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    return Graph(n, pairs + [(u, v) for u, v in extra if u != v])
 
 
 def floyd_warshall(g):
@@ -412,7 +456,7 @@ class TestDistances:
     def test_word_form_is_exact_up_to_64_vertices(self, monkeypatch):
         # every row is one uint64 word, and at 64 vertices its top bit is set;
         # with no budget every level runs in words, none in the blocked kernel
-        monkeypatch.setattr("mycielski.graph._word_level_budget", unlimited_budget)
+        patch_word_levels(monkeypatch, UNLIMITED)
         graphs = [mycielskian(g).mu for g in enumerate_connected(4)]
         graphs += [build(n) for n in (31, 32, 33, 63, 64) for build in SHAPES.values()]
         graphs += [lollipop(32, 32), giant_component(64, 0.05, 3)]
@@ -435,24 +479,12 @@ class TestDistances:
         # two stars, on 0..63 and 64..127: the split falls between two uint64
         # words. With no budget the word levels see a level change nothing;
         # stopped after 2 levels, the blocked kernel sees its frontier empty.
-        monkeypatch.setattr(
-            "mycielski.graph._word_level_budget", unlimited_budget if in_words else lambda n, m: 2
-        )
-        raised = []
-
-        def recorded(*args):
-            try:
-                return _numpy_word_levels(*args)
-            except DisconnectedError:
-                raised.append(args[0])
-                raise
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch, UNLIMITED if in_words else 2)
         edges = [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)]
         for n in (128, 129):
             with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
                 all_pairs_distances(Graph(n, edges + [(127, 128)] * (n - 128)))
-        assert raised == ([128, 129] if in_words else [])
+        assert calls.raised == ([128, 129] if in_words else [])
 
     @pytest.mark.parametrize("isolated", [0, 12, 29])
     def test_isolated_vertex_rejected_before_any_level(self, isolated, monkeypatch):
@@ -468,7 +500,7 @@ class TestDistances:
             all_pairs_distances(g)
 
     @pytest.mark.parametrize(
-        "budget", [0, 1, 2, None], ids=["budget0", "budget1", "budget2", "unlimited"]
+        "budget", [0, 1, 2, UNLIMITED], ids=["budget0", "budget1", "budget2", "unlimited"]
     )
     @pytest.mark.parametrize(
         "build",
@@ -494,18 +526,7 @@ class TestDistances:
         ],
     )
     def test_blocked_kernel_resumes_after_the_word_levels(self, build, budget, monkeypatch):
-        monkeypatch.setattr(
-            "mycielski.graph._word_level_budget",
-            unlimited_budget if budget is None else (lambda n, m: budget),
-        )
-        handoffs = []
-
-        def recorded(*args):
-            state, k = _numpy_word_levels(*args)
-            handoffs.append((k, state is not None))
-            return state, k
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch, budget)
         g = build()
         d = all_pairs_distances(g)
         assert d.dtype == np.uint16 and not d.flags.writeable
@@ -513,72 +534,87 @@ class TestDistances:
         assert np.array_equal(d, floyd_warshall(g))
         # the word levels stop at the budget, or at the diameter with every row full
         diam = int(d.max())
-        if budget is None or budget >= diam:
-            assert handoffs == [(diam, False)]
+        if budget >= diam:
+            assert calls.handoffs == [(diam, False)]
         else:
-            assert handoffs == [(budget, True)]
+            assert calls.handoffs == [(budget, True)]
 
     def test_default_budget_finishes_small_diameters_in_words(self, monkeypatch):
-        # gnp(1000, 0.02) has diameter 4 and a budget of 15 levels, so the word
-        # levels do it all; a path of 300 gets 2 levels before the hand-off. A
+        # gnp(1000, 0.02) has diameter 4, and the word levels do it all; a path
+        # of 300 stops growing its frontier at level 2 and hands off there. A
         # graph of at most 64 vertices, one word per row, runs every level in words.
-        handoffs = []
-
-        def recorded(*args):
-            state, k = _numpy_word_levels(*args)
-            handoffs.append((k, state is not None))
-            return state, k
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch)
         g = erdos_renyi_connected(1000, 0.02, 7)
-        assert _word_level_budget(g.n, g.m) == 15
         all_pairs_distances(g)
         all_pairs_distances(path(300))
-        assert _word_level_budget(300, 299) == 2
         all_pairs_distances(path(6))
         all_pairs_distances(path(64))
-        assert handoffs == [(4, False), (2, True), (5, False), (63, False)]
+        assert calls.handoffs == [(4, False), (2, True), (5, False), (63, False)]
+
+    @pytest.mark.parametrize(
+        "build,handoff",
+        [
+            (sparse_gnp, (9, False)),
+            (lambda: grid(30, 30), (58, False)),
+            (lambda: path(300), (2, True)),
+            (lambda: cycle(257), (2, True)),
+        ],
+        ids=["gnp1000_0.005_3", "grid30x30", "path300", "cycle257"],
+    )
+    def test_default_rule_hands_off_once_the_frontier_stops_growing(
+        self, build, handoff, monkeypatch
+    ):
+        # the sparse gnp graph's and the grid's frontiers still grow, or leave
+        # fewer pairs than 64 levels at their width, until every row is full;
+        # a path's or a cycle's stops growing at level 2, with most pairs left
+        calls = patch_word_levels(monkeypatch)
+        g = build()
+        expected = summed_from_the_matrix(g)
+        report = index_report(g)
+        assert (report.diameter, report.wiener, report.degree_distance) == expected
+        assert calls.handoffs == [handoff, handoff]
+
+    @given(graphs_without_isolated_vertices())
+    @settings(max_examples=60, deadline=None)
+    def test_default_rule_keeps_up_to_64_vertices_in_words(self, g):
+        # at most n^2 <= 64 n pairs are ever left, so no level hands off: a
+        # connected graph finishes in words and a disconnected one raises there
+        connected = g.is_connected()
+        with pytest.MonkeyPatch.context() as mp:
+            calls = patch_word_levels(mp)
+            for run in (all_pairs_distances, index_report):
+                if connected:
+                    run(g)
+                else:
+                    with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
+                        run(g)
+        assert [handed_off for _, handed_off in calls.handoffs] == ([False] * 2 if connected else [])
+        assert calls.raised == ([] if connected else [g.n, g.n])
 
     def test_small_class_graphs_and_their_mu_run_no_kernel_level(self, monkeypatch):
         # the 224 APSP calls of verify --enumerate 6: the order-6 class graphs
         # and their order-13 Mycielskians each finish in the word levels
-        handoffs = []
-
-        def recorded(*args):
-            state, k = _numpy_word_levels(*args)
-            handoffs.append((k, state is not None))
-            return state, k
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch)
         graphs = [g for g, _ in connected_classes(6)]
         graphs += [mycielskian(g).mu for g in graphs]
         assert len(graphs) == 224
         for g in graphs:
             d = all_pairs_distances(g)
             assert np.array_equal(d, bfs_distances(g))
-            assert handoffs[-1] == (int(d.max()), False)
-        assert len(handoffs) == 224
+            assert calls.handoffs[-1] == (int(d.max()), False)
+        assert len(calls.handoffs) == 224
 
     def test_disconnected_one_word_graphs_rejected_in_words(self, monkeypatch):
         # with the default budget a one-word graph never reaches the blocked
         # kernel: a level that grows no row raises inside the word levels. At
         # n = 3 every disconnected graph has an isolated vertex, which is
         # rejected before any level, so the smallest case here is n = 4.
-        raised = []
-
-        def recorded(*args):
-            try:
-                return _numpy_word_levels(*args)
-            except DisconnectedError:
-                raised.append(args[0])
-                raise
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch)
         for n, cut in ((4, 1), (24, 5), (64, 40)):
             g = Graph(n, [(v, v + 1) for v in range(n - 1) if v != cut])
             with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
                 all_pairs_distances(g)
-        assert raised == [4, 24, 64]
+        assert calls.raised == [4, 24, 64]
 
     @pytest.mark.parametrize("gather_edges", [None, 1], ids=["default_gather", "tiny_gather"])
     def test_blocked_kernel_alone_is_exact(self, gather_edges, monkeypatch):
@@ -586,7 +622,7 @@ class TestDistances:
         # alone. With a gather of n ceil(n/64) edges instead of 8 times that,
         # most levels go in parts, and a pair found by one part must not be
         # found again by the next.
-        monkeypatch.setattr("mycielski.graph._word_level_budget", lambda n, m: 0)
+        patch_word_levels(monkeypatch, 0)
         calls = []
 
         def recorded(*args):
@@ -626,13 +662,19 @@ class TestDistances:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: cycle(1000), lambda: path(600)],
-        ids=["gnp1000_0.02", "cycle1000", "path600"],
+        [
+            lambda: erdos_renyi_connected(1000, 0.02, 7),
+            lambda: cycle(1000),
+            lambda: path(600),
+            sparse_gnp,
+        ],
+        ids=["gnp1000_0.02", "cycle1000", "path600", "gnp1000_0.005_3"],
     )
     def test_result_is_the_uint16_level_count(self, build):
         # the level count is the result: it holds 2 n^2 bytes of numpy data,
         # and with no int64 copy of it (8 n^2 more) the traced peak stays
-        # within 4 n^2 (about 3.6 n^2). Neither a distance nor a level count
+        # within 4 n^2 (about 3.6 n^2; 3.47 n^2 on the sparse gnp graph, whose
+        # wide frontiers stay in words). Neither a distance nor a level count
         # reaches _UNSEEN.
         assert _EXACT_ORDER_LIMIT - 1 < _UNSEEN
         g = build()
@@ -685,33 +727,22 @@ class TestDistanceSums:
     """``index_report`` sums each source's distances inside the BFS, with no matrix."""
 
     @pytest.mark.parametrize(
-        "budget", [0, 1, 2, None], ids=["budget0", "budget1", "budget2", "unlimited"]
+        "budget", [0, 1, 2, UNLIMITED], ids=["budget0", "budget1", "budget2", "unlimited"]
     )
     @pytest.mark.parametrize("build", distance_sum_cases())
     def test_sums_match_the_matrix(self, build, budget, monkeypatch):
         g = build()
         expected = summed_from_the_matrix(g)
-        monkeypatch.setattr(
-            "mycielski.graph._word_level_budget",
-            unlimited_budget if budget is None else (lambda n, m: budget),
-        )
-        handoffs = []
-
-        def recorded(*args):
-            state, k = _numpy_word_levels(*args)
-            handoffs.append((k, state is not None))
-            return state, k
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch, budget)
         report = index_report(g)
         assert (report.diameter, report.wiener, report.degree_distance) == expected
         assert all(type(x) is int for x in (report.diameter, report.wiener, report.degree_distance))
         # the word levels hand R_k and R_{k-1} to the kernel, or finish every row
         diam = expected[0]
-        if budget is None or budget >= diam:
-            assert handoffs == [(diam, False)]
+        if budget >= diam:
+            assert calls.handoffs == [(diam, False)]
         else:
-            assert handoffs == [(budget, True)]
+            assert calls.handoffs == [(budget, True)]
 
     @pytest.mark.parametrize("budget", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -722,7 +753,7 @@ class TestDistanceSums:
     def test_kernel_gathers_what_the_matrix_kernel_gathers(self, build, budget, monkeypatch):
         # each kernel level starts from the pairs at distance k alone, in
         # either sink, so every level gathers as many edges in both
-        monkeypatch.setattr("mycielski.graph._word_level_budget", lambda n, m: budget)
+        patch_word_levels(monkeypatch, budget)
         gathered = []
 
         def recorded(ends, step):
@@ -752,7 +783,7 @@ class TestDistanceSums:
             index_report(Graph(30, zip(others, others[1:])))
 
     @pytest.mark.parametrize(
-        "budget,in_words", [(None, True), (2, False)], ids=["in_words", "kernel"]
+        "budget,in_words", [(UNLIMITED, True), (2, False)], ids=["in_words", "kernel"]
     )
     @pytest.mark.parametrize(
         "build",
@@ -771,24 +802,11 @@ class TestDistanceSums:
     def test_disconnected_rejected(self, build, budget, in_words, monkeypatch):
         # with no budget a word level grows no row; stopped after 2 levels,
         # a kernel block sees its frontier empty (path24 fills no row by then)
-        monkeypatch.setattr(
-            "mycielski.graph._word_level_budget",
-            unlimited_budget if budget is None else (lambda n, m: budget),
-        )
-        raised = []
-
-        def recorded(*args):
-            try:
-                return _numpy_word_levels(*args)
-            except DisconnectedError:
-                raised.append(args[0])
-                raise
-
-        monkeypatch.setattr("mycielski.graph._numpy_word_levels", recorded)
+        calls = patch_word_levels(monkeypatch, budget)
         g = build()
         with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):
             index_report(g)
-        assert raised == ([g.n] if in_words else [])
+        assert calls.raised == ([g.n] if in_words else [])
 
     @pytest.mark.parametrize(
         "build",
@@ -811,14 +829,16 @@ class TestDistanceSums:
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: path(2000)],
-        ids=["gnp1000_0.02", "path2000"],
+        [lambda: erdos_renyi_connected(1000, 0.02, 7), lambda: path(2000), sparse_gnp],
+        ids=["gnp1000_0.02", "path2000", "gnp1000_0.005_3"],
     )
     def test_index_report_peak_is_below_one_and_a_quarter_n2(self, build):
         # the two word arrays (n^2/4 bytes), the popcount's few temporaries
         # of n^2/8 and one gather of 2m words: traced at about 0.85 n^2
-        # on the gnp graph and 0.74 n^2 on the path, whose kernel blocks are
-        # O(128 n). Counting bits through a byte table gave 1.58 and 1.17 n^2.
+        # on the gnp graph, 0.74 n^2 on the path, whose kernel blocks are
+        # O(128 n), and 0.73 n^2 on the sparse gnp graph, whose wide
+        # frontiers stay in words. Counting bits through a byte table gave
+        # 1.58 and 1.17 n^2 on the first two.
         g = build()
         n = g.n
         tracemalloc.start()
