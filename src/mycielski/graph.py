@@ -228,14 +228,14 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
       more than 64 levels at that rate. At most 64 vertices leave at most
       n^2 <= 64 n pairs, so such a graph never hands off.
     - Rows still incomplete at the hand-off go on in the blocked kernel, 128
-      source rows at a time, from the last word levels R_k and R_{k-1}: the
-      frontier is the pairs at distance k and the next level is k + 1 (with
-      no word levels, k = 0 and the frontier is the diagonal), and the result
-      takes each block's distances outside R_{k-1} by ``np.maximum``. A level
-      gathers the frontier vertices' neighbour lists, in parts of at most one
-      gather (``_GATHER_EDGES``) cut at cumulative degree, and keeps the pairs
-      not seen before. It costs the frontier's edge count, so the kernel stays
-      within O(n (n + m)) for any diameter.
+      source rows at a time, from R_k and R_{k-1} (R_{-1} empty) and a count
+      of min(dist(s, v), k), which makes it exact for a hand-off at any level
+      k >= 0: the frontier is the pairs at distance k, the next level is
+      k + 1, and the result takes each block's distances outside R_{k-1} by
+      ``np.maximum``. A level gathers the frontier vertices' neighbour lists,
+      in parts of at most one gather (``_GATHER_EDGES``) cut at cumulative
+      degree, and keeps the pairs not seen before. It costs the frontier's
+      edge count, so the kernel stays within O(n (n + m)) for any diameter.
 
     Memory is the 2 n^2 bytes of the uint16 result, which is the word
     levels' level count, with no int64 copy. The numpy word levels add two
@@ -330,9 +330,7 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
     return out, top
 
 
-def _numpy_word_levels(
-    n: int, nbr: np.ndarray, first_nbr: np.ndarray, count: np.ndarray, budget: int | None = None
-) -> tuple:
+def _numpy_word_levels(n: int, nbr: np.ndarray, first_nbr: np.ndarray, count: np.ndarray) -> tuple:
     """Levels of the word recurrence on a uint64 array, until the stop test.
 
     ``r`` is words-major, ``(ceil(n/64), n)``: column s holds R_k[s], vertex
@@ -351,8 +349,7 @@ def _numpy_word_levels(
     ``(n,)`` int64 sums T.
 
     Returns ``(None, k)`` once every row is full, at the diameter k, else
-    ``((R_k, R_{k-1}), k)`` at the hand-off for the blocked kernel. An int
-    ``budget``, a test seam, replaces the hand-off test by ``k == budget``.
+    ``((R_k, R_{k-1}), k)`` at the hand-off for the blocked kernel.
     """
     words = -(-n // 64)
     r = np.zeros((words, n), np.uint64)
@@ -379,9 +376,7 @@ def _numpy_word_levels(
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
         frontier = before - left  # pairs at distance exactly k
         # full comes first: rows that fill at the hand-off finish here
-        if not left or (
-            k == budget if budget is not None else frontier <= grew and left > 64 * max(frontier, n)
-        ):
+        if not left or frontier <= grew and left > 64 * max(frontier, n):
             return ((r, grown) if left else None), k
         grew = frontier
         count += missing

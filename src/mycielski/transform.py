@@ -85,7 +85,8 @@ def mu_distance_matrix(dg: np.ndarray) -> np.ndarray:
     if dg.dtype.kind not in "iu" or dg.dtype.kind == "i" and (dg < 0).any():
         raise InvalidParameterError(f"distances must be non-negative integers, got {dg.dtype}")
     n = dg.shape[0]
-    # no pair of a connected order-n graph is n apart; APSP marks an unreached pair 0xFFFF
+    # no pair of a connected order-n graph is n apart, so a foreign matrix's 0xFFFF
+    # for an unreached pair is refused (APSP raises DisconnectedError instead)
     if dg.max(initial=0) >= n:
         raise InvalidParameterError(f"distances must be non-negative integers below the order {n}")
     # d(u, v) = d(v, u), and it is 0 exactly when u = v

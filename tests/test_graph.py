@@ -1,6 +1,5 @@
 import time
 import tracemalloc
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,21 +116,67 @@ def grid(rows, cols):
     return Graph(rows * cols, right + down)
 
 
+def perfect_matching(n):
+    """n / 2 disjoint edges: every frontier after level 0 is n, and no pair is
+    reached after level 1."""
+    return Graph(n, [(v, v + 1) for v in range(0, n, 2)])
+
+
+def two_stars(n):
+    """Stars on 0..63 and 64..127, the split between two uint64 words, and
+    on 129 vertices a pendant vertex 128 on leaf 127."""
+    edges = [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)]
+    return Graph(n, edges + [(127, 128)] * (n - 128))
+
+
 def sparse_gnp():
     """gnp(1000, 0.005, 3): its first 720 draws are disconnected, so the graph
     it returns is the first draw from state 723, taken here with no redraws."""
     return erdos_renyi_connected(1000, 0.005, 723)
 
 
-# A word-level budget no graph reaches: every diameter is below n <= _EXACT_ORDER_LIMIT
-UNLIMITED = _EXACT_ORDER_LIMIT
+def _reference_levels(budget):
+    """A stand-in for ``_numpy_word_levels`` that hands off at level ``budget``.
+
+    It keeps the word levels' contract from boolean reachability powers,
+    R_{k+1} = R_k | (R_k A > 0) with A the 0/1 adjacency rebuilt from ``nbr``
+    and ``first_nbr``, and shares no code with them: it raises at the first
+    level that reaches no pair more, returns ``(None, k)`` once every pair is
+    reached, and at level ``budget`` returns ``((R_k, R_{k-1}), k)`` with
+    ``count`` at min(d, k), each R packed words-major as the word levels
+    pack it. The rule never hands off at level 0, and at level 1 only on a
+    perfect matching of 68 or more vertices, so the kernel tests force any
+    level here.
+    """
+
+    def words(reach):
+        packed = np.packbits(reach, axis=1, bitorder="little")
+        packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+        return np.ascontiguousarray(packed.view(np.uint64).T)
+
+    def levels(n, nbr, first_nbr, count):
+        adjacency = np.zeros((n, n), dtype=np.float32)  # exact: every product sum is below 2^24
+        adjacency[np.repeat(np.arange(n), np.diff(first_nbr, append=nbr.size)), nbr] = 1
+        reach, last = np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)
+        for k in range(n + 1):
+            if k and np.count_nonzero(reach) == np.count_nonzero(last):
+                raise DisconnectedError("vertex 0 cannot reach the whole graph")
+            if reach.all():
+                return None, k
+            if k == budget:
+                return (words(reach), words(last)), k
+            count += ~reach if count.ndim == 2 else np.count_nonzero(~reach, axis=1)
+            reach, last = reach | (reach.astype(np.float32) @ adjacency > 0), reach
+
+    return levels
 
 
 def patch_word_levels(monkeypatch, budget=None):
-    """Patch in the word levels stopped at level ``budget``, or by the default
-    rule with None, and record every call: ``handoffs`` gets each (k, handed
-    off) and ``raised`` the order n of each DisconnectedError raised there."""
-    levels = partial(_numpy_word_levels, budget=budget)
+    """Patch in the word levels, by the rule with None or the stand-in
+    ``_reference_levels(budget)`` with an int, and record every call:
+    ``handoffs`` gets each (k, handed off) and ``raised`` the order n of
+    each DisconnectedError raised there."""
+    levels = _numpy_word_levels if budget is None else _reference_levels(budget)
     calls = SimpleNamespace(handoffs=[], raised=[])
 
     def recorded(n, *args):
@@ -455,8 +500,8 @@ class TestDistances:
 
     def test_word_form_is_exact_up_to_64_vertices(self, monkeypatch):
         # every row is one uint64 word, and at 64 vertices its top bit is set;
-        # with no budget every level runs in words, none in the blocked kernel
-        patch_word_levels(monkeypatch, UNLIMITED)
+        # by the rule every level runs in words, none in the blocked kernel
+        patch_word_levels(monkeypatch)
         graphs = [mycielskian(g).mu for g in enumerate_connected(4)]
         graphs += [build(n) for n in (31, 32, 33, 63, 64) for build in SHAPES.values()]
         graphs += [lollipop(32, 32), giant_component(64, 0.05, 3)]
@@ -477,14 +522,23 @@ class TestDistances:
     @pytest.mark.parametrize("in_words", [True, False], ids=["in_words", "handed_off"])
     def test_disconnected_rejected_across_a_word_boundary(self, in_words, monkeypatch):
         # two stars, on 0..63 and 64..127: the split falls between two uint64
-        # words. With no budget the word levels see a level change nothing;
-        # stopped after 2 levels, the blocked kernel sees its frontier empty.
-        calls = patch_word_levels(monkeypatch, UNLIMITED if in_words else 2)
-        edges = [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)]
-        for n in (128, 129):
+        # words. By the rule the word levels see a level change nothing on 128
+        # vertices and hand off at level 3 on 129, whose pendant vertex 128 keeps
+        # the frontier growing one level longer; handed off at level 2, the
+        # blocked kernel sees its frontier empty. Perfect matchings hand off by
+        # the rule at level 1 from 68 vertices on, and raise in words below that.
+        calls = patch_word_levels(monkeypatch, None if in_words else 2)
+        graphs = [two_stars(128), two_stars(129)]
+        if in_words:
+            graphs += [perfect_matching(n) for n in (66, 68, 200)]
+        for g in graphs:
             with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
-                all_pairs_distances(Graph(n, edges + [(127, 128)] * (n - 128)))
-        assert calls.raised == ([128, 129] if in_words else [])
+                all_pairs_distances(g)
+        if in_words:
+            assert calls.raised == [128, 66]
+            assert calls.handoffs == [(3, True), (1, True), (1, True)]
+        else:
+            assert calls.raised == []
 
     @pytest.mark.parametrize("isolated", [0, 12, 29])
     def test_isolated_vertex_rejected_before_any_level(self, isolated, monkeypatch):
@@ -500,7 +554,7 @@ class TestDistances:
             all_pairs_distances(g)
 
     @pytest.mark.parametrize(
-        "budget", [0, 1, 2, UNLIMITED], ids=["budget0", "budget1", "budget2", "unlimited"]
+        "budget", [0, 1, 2, None], ids=["budget0", "budget1", "budget2", "unlimited"]
     )
     @pytest.mark.parametrize(
         "build",
@@ -532,12 +586,11 @@ class TestDistances:
         assert d.dtype == np.uint16 and not d.flags.writeable
         assert np.array_equal(d, bfs_distances(g))
         assert np.array_equal(d, floyd_warshall(g))
-        # the word levels stop at the budget, or at the diameter with every row full
+        # the stand-in stops at the budget and the rule at its own level k, or
+        # either at the diameter with every row full
         diam = int(d.max())
-        if budget >= diam:
-            assert calls.handoffs == [(diam, False)]
-        else:
-            assert calls.handoffs == [(budget, True)]
+        k = calls.handoffs[0][0] if budget is None else min(budget, diam)
+        assert calls.handoffs == [(k, k < diam)] and k <= diam
 
     def test_default_budget_finishes_small_diameters_in_words(self, monkeypatch):
         # gnp(1000, 0.02) has diameter 4, and the word levels do it all; a path
@@ -558,21 +611,89 @@ class TestDistances:
             (lambda: grid(30, 30), (58, False)),
             (lambda: path(300), (2, True)),
             (lambda: cycle(257), (2, True)),
+            (lambda: broom(150, 100, 50), (3, True)),
+            (lambda: grid(3, 300), (4, True)),
+            (lambda: grid(5, 200), (6, True)),
         ],
-        ids=["gnp1000_0.005_3", "grid30x30", "path300", "cycle257"],
+        ids=[
+            "gnp1000_0.005_3",
+            "grid30x30",
+            "path300",
+            "cycle257",
+            "broom150_100_50",
+            "grid3x300",
+            "grid5x200",
+        ],
     )
     def test_default_rule_hands_off_once_the_frontier_stops_growing(
         self, build, handoff, monkeypatch
     ):
         # the sparse gnp graph's and the grid's frontiers still grow, or leave
         # fewer pairs than 64 levels at their width, until every row is full;
-        # a path's or a cycle's stops growing at level 2, with most pairs left
+        # a path's or a cycle's stops growing at level 2, with most pairs left,
+        # and a broom's at 3, once its clique is full, and a grid of r rows at
+        # r + 1, once its frontier has crossed the rows
         calls = patch_word_levels(monkeypatch)
         g = build()
         expected = summed_from_the_matrix(g)
         report = index_report(g)
         assert (report.diameter, report.wiener, report.degree_distance) == expected
         assert calls.handoffs == [handoff, handoff]
+
+    @pytest.mark.parametrize("matrix", [True, False], ids=["matrix", "sums"])
+    @pytest.mark.parametrize(
+        "build,level",
+        [
+            (lambda: perfect_matching(66), None),
+            (lambda: perfect_matching(68), 1),
+            (lambda: perfect_matching(200), 1),
+            (lambda: path(300), 2),
+            (lambda: cycle(257), 2),
+            (lambda: barbell(100, 100), 2),
+            (lambda: clique_chain(6, 50), 2),
+            (lambda: broom(150, 100, 50), 3),
+            (lambda: two_stars(129), 3),
+            (lambda: grid(3, 300), 4),
+            (lambda: grid(5, 200), 6),
+        ],
+        ids=[
+            "matching66",
+            "matching68",
+            "matching200",
+            "path300",
+            "cycle257",
+            "barbell100_100",
+            "chain6x50",
+            "broom150_100_50",
+            "two_stars129",
+            "grid3x300",
+            "grid5x200",
+        ],
+    )
+    def test_reference_levels_hand_off_what_the_word_levels_do(self, build, level, matrix):
+        # the kernel tests force hand-offs through _reference_levels, so at
+        # each natural hand-off of the rule the stand-in must give the same
+        # level, the same two word arrays and the same count, in either sink;
+        # None: both raise at the level that grows no row
+        g = build()
+        deg = np.asarray(g.degrees, dtype=np.int64)
+        nbr = np.array([v for adjacent in g.adjacency for v in adjacent], dtype=np.int64)
+        args = (g.n, nbr, np.cumsum(deg) - deg)
+        counts = [np.zeros((g.n, g.n) if matrix else g.n, np.uint16 if matrix else np.int64)]
+        counts.append(counts[0].copy())
+        if level is None:
+            for levels, count in zip((_numpy_word_levels, _reference_levels(None)), counts):
+                with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole"):
+                    levels(*args, count)
+        else:
+            state, k = _numpy_word_levels(*args, counts[0])
+            assert k == level and state is not None
+            reference, k = _reference_levels(level)(*args, counts[1])
+            assert k == level and len(reference) == len(state) == 2
+            for ours, theirs in zip(state, reference):
+                assert ours.dtype == theirs.dtype == np.uint64 and ours.shape == theirs.shape
+                assert ours.tobytes() == theirs.tobytes()
+        assert counts[0].dtype == counts[1].dtype and np.array_equal(*counts)
 
     @given(graphs_without_isolated_vertices())
     @settings(max_examples=60, deadline=None)
@@ -618,7 +739,7 @@ class TestDistances:
 
     @pytest.mark.parametrize("gather_edges", [None, 1], ids=["default_gather", "tiny_gather"])
     def test_blocked_kernel_alone_is_exact(self, gather_edges, monkeypatch):
-        # a word-level budget of 0 sends every graph through the kernel
+        # a hand-off at level 0 sends every graph through the kernel
         # alone. With a gather of n ceil(n/64) edges instead of 8 times that,
         # most levels go in parts, and a pair found by one part must not be
         # found again by the next.
@@ -639,11 +760,11 @@ class TestDistances:
         for g in graphs:
             before = len(calls)
             assert np.array_equal(all_pairs_distances(g), bfs_distances(g))
-            # the word levels cut their chunks once; every later call is a
-            # kernel level, and the tiny gather forces at least one of them
-            # into parts on any graph of 3 or more vertices
+            # the stand-in cuts no chunks, so every call is a kernel level,
+            # and the tiny gather forces at least one of them into parts on
+            # any graph of 3 or more vertices
             if gather_edges and g.n >= 3:
-                assert any(len(cuts) > 2 for cuts in calls[before + 1 :])
+                assert any(len(cuts) > 2 for cuts in calls[before:])
         with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
             all_pairs_distances(Graph(200, [(v, v + 1) for v in range(199) if v != 149]))
 
@@ -727,7 +848,7 @@ class TestDistanceSums:
     """``index_report`` sums each source's distances inside the BFS, with no matrix."""
 
     @pytest.mark.parametrize(
-        "budget", [0, 1, 2, UNLIMITED], ids=["budget0", "budget1", "budget2", "unlimited"]
+        "budget", [0, 1, 2, None], ids=["budget0", "budget1", "budget2", "unlimited"]
     )
     @pytest.mark.parametrize("build", distance_sum_cases())
     def test_sums_match_the_matrix(self, build, budget, monkeypatch):
@@ -739,10 +860,8 @@ class TestDistanceSums:
         assert all(type(x) is int for x in (report.diameter, report.wiener, report.degree_distance))
         # the word levels hand R_k and R_{k-1} to the kernel, or finish every row
         diam = expected[0]
-        if budget >= diam:
-            assert calls.handoffs == [(diam, False)]
-        else:
-            assert calls.handoffs == [(budget, True)]
+        k = calls.handoffs[0][0] if budget is None else min(budget, diam)
+        assert calls.handoffs == [(k, k < diam)] and k <= diam
 
     @pytest.mark.parametrize("budget", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -782,31 +901,43 @@ class TestDistanceSums:
         with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):
             index_report(Graph(30, zip(others, others[1:])))
 
+    @pytest.mark.parametrize("budget", [None, 2], ids=["in_words", "kernel"])
     @pytest.mark.parametrize(
-        "budget,in_words", [(UNLIMITED, True), (2, False)], ids=["in_words", "kernel"]
-    )
-    @pytest.mark.parametrize(
-        "build",
+        "build,handoffs",
         [
-            lambda: Graph(24, [(v, v + 1) for v in range(23) if v != 5]),
-            lambda: Graph(200, [(v, v + 1) for v in range(199) if v != 149]),
-            # two stars, on 0..63 and 64..127: the split falls between two words
-            lambda: Graph(128, [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)]),
-            lambda: Graph(
-                129,
-                [(0, v) for v in range(1, 64)] + [(64, v) for v in range(65, 128)] + [(127, 128)],
-            ),
+            (lambda: Graph(24, [(v, v + 1) for v in range(23) if v != 5]), (None, 2)),
+            (lambda: Graph(200, [(v, v + 1) for v in range(199) if v != 149]), (2, 2)),
+            (lambda: two_stars(128), (None, 2)),
+            (lambda: two_stars(129), (3, 2)),
+            (lambda: perfect_matching(66), (None, None)),
+            (lambda: perfect_matching(68), (1, None)),
+            (lambda: perfect_matching(200), (1, None)),
         ],
-        ids=["path24_cut", "path200_cut", "two_stars128", "two_stars129"],
+        ids=[
+            "path24_cut",
+            "path200_cut",
+            "two_stars128",
+            "two_stars129",
+            "matching66",
+            "matching68",
+            "matching200",
+        ],
     )
-    def test_disconnected_rejected(self, build, budget, in_words, monkeypatch):
-        # with no budget a word level grows no row; stopped after 2 levels,
-        # a kernel block sees its frontier empty (path24 fills no row by then)
+    def test_disconnected_rejected(self, build, handoffs, budget, monkeypatch):
+        # handoffs holds the level the word levels hand off at by the rule
+        # (in_words) and by the stand-in stopped at level 2 (kernel); a kernel
+        # block then sees its frontier empty. None: a word level grows no row,
+        # as a matching's level 2 does. By the rule a path of 200 hands off at
+        # level 2, and a matching at level 1 from 68 vertices on, since 66
+        # leave 4224 = 64 n pairs; path24 fills no row by level 2.
         calls = patch_word_levels(monkeypatch, budget)
         g = build()
         with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):
             index_report(g)
-        assert calls.raised == ([g.n] if in_words else [])
+        by_rule, at_level2 = handoffs
+        k = by_rule if budget is None else at_level2
+        assert calls.raised == ([g.n] if k is None else [])
+        assert calls.handoffs == ([] if k is None else [(k, True)])
 
     @pytest.mark.parametrize(
         "build",

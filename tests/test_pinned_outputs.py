@@ -99,7 +99,8 @@ def test_verify_report_with_timings():
          "f72099cf498addb1271172bb4b38656ee6769c25d51203f420f15a774d4dfa1a"),
         (("verify", "--enumerate", "6", "--relax-diameter"), 4,
          "44b22fe5177f3b433ab81b258368b6e5f0f915c4735a000a36145a38594ea9d2"),
-        # budget 2 against diameter 500: the matrix goes through the blocked kernel
+        # the rule hands off at level 2 against diameter 500: the matrix goes
+        # through the blocked kernel
         (("verify", "--family", "cycle:1000"), 0,
          "9a8541c54ff680846f9c4edbbe69b97e89fb428dd895c979f9c0aa4ba0922dfa"),
     ],
