@@ -282,19 +282,19 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
     top = last
     gather = _GATHER_EDGES * n * -(-n // 64)
     for lo in range(0, n, _BLOCK_ROWS) if state else ():  # None: every row is full
-        # _UNSEEN outside R_last, last on its frontier and 0 inside R_{last-1}:
-        # a bit of R_last steps _UNSEEN down to last, one of R_{last-1} last down to 0
+        # _UNSEEN outside R_last, last on its frontier and 0 inside R_{last-1}
         rows = np.full((min(_BLOCK_ROWS, n - lo), n), _UNSEEN)
-        for words, step in zip(state, (_UNSEEN - last, last)):
+        for words, value in zip(state, (last, 0)):  # R_{last-1}'s 0 over R_last's last
             # the block's sources by row: a copy of at most n^2/8 bytes, a view for one word
             bits = np.ascontiguousarray(words[:, lo : lo + _BLOCK_ROWS].T).view(np.uint8)
-            rows -= np.unpackbits(bits, axis=1, count=n, bitorder="little") * np.uint16(step)
-        b = len(rows)
+            bits = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
+            np.copyto(rows, np.uint16(value), where=bits)
+            del bits  # freed before the next unpack and the level loop
         flat = rows.reshape(-1)  # pair (s, v) is (s - lo)*n + v
         reached = np.count_nonzero(flat != _UNSEEN)
         keys = np.flatnonzero(flat == last)
         k = last
-        while keys.size and reached < b * n:
+        while keys.size and reached < flat.size:
             k += 1
             v = keys % n
             cnt = deg[v]
@@ -318,10 +318,10 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
                 flat[found[-1]] = k
             keys = found[0] if len(found) == 1 else np.concatenate(found)
             reached += keys.size
-        if reached < b * n:
+        if reached < flat.size:
             raise DisconnectedError("vertex 0 cannot reach the whole graph")
         top = max(top, k)
-        block = out[lo : lo + b]
+        block = out[lo : lo + _BLOCK_ROWS]
         if matrix:  # block holds min(d, last); rows 0 inside R_{last-1} and d outside
             np.maximum(block, rows, out=block)
         else:  # T holds min(d, last) per pair, so a pair found at k adds k - last

@@ -519,22 +519,22 @@ class TestDistances:
             assert np.array_equal(d, bfs_distances(g))
             assert np.array_equal(d, floyd_warshall(g))
 
-    @pytest.mark.parametrize("in_words", [True, False], ids=["in_words", "handed_off"])
-    def test_disconnected_rejected_across_a_word_boundary(self, in_words, monkeypatch):
+    @pytest.mark.parametrize("by_rule", [True, False], ids=["by_rule", "handed_off"])
+    def test_disconnected_rejected_across_a_word_boundary(self, by_rule, monkeypatch):
         # two stars, on 0..63 and 64..127: the split falls between two uint64
         # words. By the rule the word levels see a level change nothing on 128
         # vertices and hand off at level 3 on 129, whose pendant vertex 128 keeps
         # the frontier growing one level longer; handed off at level 2, the
         # blocked kernel sees its frontier empty. Perfect matchings hand off by
         # the rule at level 1 from 68 vertices on, and raise in words below that.
-        calls = patch_word_levels(monkeypatch, None if in_words else 2)
+        calls = patch_word_levels(monkeypatch, None if by_rule else 2)
         graphs = [two_stars(128), two_stars(129)]
-        if in_words:
+        if by_rule:
             graphs += [perfect_matching(n) for n in (66, 68, 200)]
         for g in graphs:
             with pytest.raises(DisconnectedError, match=r"vertex 0 cannot reach"):
                 all_pairs_distances(g)
-        if in_words:
+        if by_rule:
             assert calls.raised == [128, 66]
             assert calls.handoffs == [(3, True), (1, True), (1, True)]
         else:
@@ -592,7 +592,7 @@ class TestDistances:
         k = calls.handoffs[0][0] if budget is None else min(budget, diam)
         assert calls.handoffs == [(k, k < diam)] and k <= diam
 
-    def test_default_budget_finishes_small_diameters_in_words(self, monkeypatch):
+    def test_stop_rule_finishes_small_diameters_in_words(self, monkeypatch):
         # gnp(1000, 0.02) has diameter 4, and the word levels do it all; a path
         # of 300 stops growing its frontier at level 2 and hands off there. A
         # graph of at most 64 vertices, one word per row, runs every level in words.
@@ -726,7 +726,7 @@ class TestDistances:
         assert len(calls.handoffs) == 224
 
     def test_disconnected_one_word_graphs_rejected_in_words(self, monkeypatch):
-        # with the default budget a one-word graph never reaches the blocked
+        # by the stop rule a one-word graph never reaches the blocked
         # kernel: a level that grows no row raises inside the word levels. At
         # n = 3 every disconnected graph has an isolated vertex, which is
         # rejected before any level, so the smallest case here is n = 4.
@@ -794,9 +794,9 @@ class TestDistances:
     def test_result_is_the_uint16_level_count(self, build):
         # the level count is the result: it holds 2 n^2 bytes of numpy data,
         # and with no int64 copy of it (8 n^2 more) the traced peak stays
-        # within 4 n^2 (about 3.6 n^2; 3.47 n^2 on the sparse gnp graph, whose
-        # wide frontiers stay in words). Neither a distance nor a level count
-        # reaches _UNSEEN.
+        # within 4 n^2 (3.59 n^2 on the gnp graph, 3.45 on the cycle, 3.52 on
+        # the path and 3.47 on the sparse gnp graph, whose wide frontiers stay
+        # in words). Neither a distance nor a level count reaches _UNSEEN.
         assert _EXACT_ORDER_LIMIT - 1 < _UNSEEN
         g = build()
         n = g.n
@@ -946,8 +946,9 @@ class TestDistanceSums:
     )
     def test_index_report_holds_no_matrix(self, build):
         # two word arrays of n^2/8 bytes, one vertex chunk's gathered words
-        # and the popcount's temporaries: about 0.85 n^2 on the gnp graph,
-        # where a uint16 matrix alone would be 2 n^2
+        # and the popcount's temporaries: 0.85 n^2 on the gnp graph, where a
+        # uint16 matrix alone would be 2 n^2; 0.98 n^2 on the cycle and 1.46 n^2
+        # on the path, whose 128-row kernel block is a fifth of its rows
         g = build()
         n = g.n
         tracemalloc.start()
@@ -966,7 +967,7 @@ class TestDistanceSums:
     def test_index_report_peak_is_below_one_and_a_quarter_n2(self, build):
         # the two word arrays (n^2/4 bytes), the popcount's few temporaries
         # of n^2/8 and one gather of 2m words: traced at about 0.85 n^2
-        # on the gnp graph, 0.74 n^2 on the path, whose kernel blocks are
+        # on the gnp graph, 0.67 n^2 on the path, whose kernel blocks are
         # O(128 n), and 0.73 n^2 on the sparse gnp graph, whose wide
         # frontiers stay in words. Counting bits through a byte table gave
         # 1.58 and 1.17 n^2 on the first two.
