@@ -81,8 +81,7 @@ def _kept_pairs(n: int, p: float, state: int) -> np.ndarray:
     array form of ``Graph``. splitmix64 is counter-based, so its k-th
     output is the mix of ``state + k * gamma`` (mod 2^64), evaluated here
     in place, a chunk at a time, on uint64 arrays. Every operand of the
-    stream is uint64, which wraps mod 2^64 the same way under numpy 1.x and
-    NEP 50 promotion.
+    stream is uint64, so NEP 50 promotion keeps it uint64, wrapping mod 2^64.
 
     Pair k is kept when its draw's top 53 bits j satisfy
     ``j < ceil(p * 2^53)`` in uint64, exactly the scalar stream's

@@ -189,20 +189,6 @@ _GATHER_EDGES = 8
 _UNIT = np.packbits(np.eye(64, dtype=bool), axis=1, bitorder="little").view(np.uint64).ravel()
 
 
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each word of a uint64 array by SWAR: bit pairs, nibbles and
-    bytes summed in one new array, then the bytes by one wrapping multiply.
-    Every operand is np.uint64, so numpy 1.24's value-based promotion keeps uint64."""
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    pairs = (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    x &= np.uint64(0x3333333333333333)
-    x += pairs
-    x += x >> np.uint64(4)
-    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    x *= np.uint64(0x0101010101010101)
-    return np.right_shift(x, np.uint64(56), out=x)
-
-
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances by a level-synchronous BFS from every source.
 
@@ -326,6 +312,7 @@ def _distance_levels(g: Graph, matrix: bool) -> tuple[np.ndarray, int]:
             np.maximum(block, rows, out=block)
         else:  # T holds min(d, last) per pair, so a pair found at k adds k - last
             block += np.maximum(rows, last).sum(axis=1, dtype=np.int64) - n * last
+        del rows, flat  # freed before the next block's np.full, so no two blocks are held
     out.setflags(write=not matrix)  # the matrix is read-only
     return out, top
 
@@ -345,7 +332,7 @@ def _numpy_word_levels(n: int, nbr: np.ndarray, first_nbr: np.ndarray, count: np
     ``all_pairs_distances`` for the hand-off) and added into
     ``count``, which then holds min(dist(s, v), k): unpacked from an n^2/8
     copy by source into the ``(n, n)`` uint16 matrix, or counted by
-    ``_popcount`` and summed per column, with no n^2 unpack, into the
+    ``np.bitwise_count`` and summed per column, with no n^2 unpack, into the
     ``(n,)`` int64 sums T.
 
     Returns ``(None, k)`` once every row is full, at the diameter k, else
@@ -370,7 +357,7 @@ def _numpy_word_levels(n: int, nbr: np.ndarray, first_nbr: np.ndarray, count: np
             del bits
             left = np.count_nonzero(missing)
         else:  # the padding bits past n are never set
-            missing = n - _popcount(r).sum(axis=0, dtype=np.int64)
+            missing = n - np.bitwise_count(r).sum(axis=0, dtype=np.int64)
             left = int(missing.sum())
         if left == before:  # no row grew
             raise DisconnectedError("vertex 0 cannot reach the whole graph")

@@ -105,8 +105,9 @@ class TestCompute:
         assert calls == [30]
 
     def test_first_compute_imports_no_numpy_ma(self):
-        # path:300 runs the blocked kernel's sparse levels; numpy 1.x imports
-        # numpy.ma with numpy itself, so only a module the compute adds counts
+        # path:300 runs the blocked kernel's sparse levels. np.unique's first
+        # call imports numpy.ma, so _cuts and the kernel deduplicate by hand;
+        # only a module the compute adds to what numpy itself imported counts
         script = (
             "import os, sys, numpy\n"
             "before = 'numpy.ma' in sys.modules\n"

@@ -33,7 +33,6 @@ from mycielski.graph import (
     _canonical_rows,
     _cuts,
     _numpy_word_levels,
-    _popcount,
     all_pairs_distances,
     format_edge_list,
     parse_edge_list,
@@ -925,9 +924,10 @@ class TestDistanceSums:
     )
     def test_disconnected_rejected(self, build, handoffs, budget, monkeypatch):
         # handoffs holds the level the word levels hand off at by the rule
-        # (in_words) and by the stand-in stopped at level 2 (kernel); a kernel
-        # block then sees its frontier empty. None: a word level grows no row,
-        # as a matching's level 2 does. By the rule a path of 200 hands off at
+        # (budget None, whose id in_words predates the rule's hand-offs) and
+        # by the stand-in stopped at level 2 (kernel); a kernel block then
+        # sees its frontier empty. None: a word level grows no row, as a
+        # matching's level 2 does. By the rule a path of 200 hands off at
         # level 2, and a matching at level 1 from 68 vertices on, since 66
         # leave 4224 = 64 n pairs; path24 fills no row by level 2.
         calls = patch_word_levels(monkeypatch, budget)
@@ -945,10 +945,10 @@ class TestDistanceSums:
         ids=["gnp1000_0.02", "cycle1000", "path600"],
     )
     def test_index_report_holds_no_matrix(self, build):
-        # two word arrays of n^2/8 bytes, one vertex chunk's gathered words
-        # and the popcount's temporaries: 0.85 n^2 on the gnp graph, where a
-        # uint16 matrix alone would be 2 n^2; 0.98 n^2 on the cycle and 1.46 n^2
-        # on the path, whose 128-row kernel block is a fifth of its rows
+        # two word arrays of n^2/8 bytes and one vertex chunk's gathered
+        # words: 0.64 n^2 on the gnp graph, where a uint16 matrix alone would
+        # be 2 n^2; 0.89 n^2 on the cycle and 1.38 n^2 on the path, whose
+        # 128-row kernel block is a fifth of its rows
         g = build()
         n = g.n
         tracemalloc.start()
@@ -965,12 +965,12 @@ class TestDistanceSums:
         ids=["gnp1000_0.02", "path2000", "gnp1000_0.005_3"],
     )
     def test_index_report_peak_is_below_one_and_a_quarter_n2(self, build):
-        # the two word arrays (n^2/4 bytes), the popcount's few temporaries
-        # of n^2/8 and one gather of 2m words: traced at about 0.85 n^2
-        # on the gnp graph, 0.67 n^2 on the path, whose kernel blocks are
-        # O(128 n), and 0.73 n^2 on the sparse gnp graph, whose wide
-        # frontiers stay in words. Counting bits through a byte table gave
-        # 1.58 and 1.17 n^2 on the first two.
+        # the two word arrays (n^2/4 bytes), bitwise_count's uint8 counts of
+        # n^2/64 and one gather of 2m words: traced at about 0.64 n^2 on the
+        # gnp graph, 0.55 n^2 on the path, whose kernel blocks are O(128 n),
+        # and 0.43 n^2 on the sparse gnp graph, whose wide frontiers stay in
+        # words. Counting bits through a byte table gave 1.58 and 1.17 n^2 on
+        # the first two.
         g = build()
         n = g.n
         tracemalloc.start()
@@ -980,34 +980,6 @@ class TestDistanceSums:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * n * n
-
-
-uint64_words = st.integers(min_value=0, max_value=2**64 - 1)
-
-
-class TestPopcount:
-    """The sums sink counts each level's bits by ``_popcount``, so T(s) is exact only if it is."""
-
-    @given(st.lists(uint64_words, min_size=1, max_size=40))
-    def test_drawn_words(self, values):
-        counts = _popcount(np.array(values, dtype=np.uint64))
-        assert counts.dtype == np.uint64
-        assert counts.tolist() == [bin(w).count("1") for w in values]
-
-    @given(st.integers(1, 4), st.integers(1, 70), st.data())
-    def test_words_by_sources(self, words, n, data):
-        values = data.draw(st.lists(uint64_words, min_size=words * n, max_size=words * n))
-        x = np.array(values, dtype=np.uint64).reshape(words, n)
-        before = x.copy()
-        counts = _popcount(x)
-        assert counts.shape == (words, n)
-        assert counts.tolist() == [[bin(w).count("1") for w in row] for row in x.tolist()]
-        assert np.array_equal(x, before)  # the input is left as it was
-
-    def test_extremes_and_single_bits(self):
-        values = [0, 2**64 - 1] + [1 << i for i in range(64)]
-        counts = _popcount(np.array(values, dtype=np.uint64))
-        assert counts.tolist() == [0, 64] + [1] * 64
 
 
 class TestDiameterAndDegrees:
