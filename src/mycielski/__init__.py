@@ -59,7 +59,6 @@ from .verify import (
     CLAIM_IDS,
     Failure,
     VerificationOutcome,
-    verify_classes,
     verify_corpus,
     verify_graph,
 )

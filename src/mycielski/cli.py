@@ -35,7 +35,7 @@ from .generators import FAMILIES, build_family, connected_classes, enumerate_con
 from .graph import Graph, format_edge_list, read_edge_list
 from .indices import dd_mycielskian_closed, index_report, randic_bounds
 from .transform import mycielskian
-from .verify import CLAIM_IDS, _fmt, verify_classes, verify_corpus
+from .verify import CLAIM_IDS, _fmt, verify_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,8 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         if unknown or not claims:
             what = f"unknown claims {sorted(unknown)}" if unknown else "no claims given"
             raise _UsageError(f"{what}; available: {', '.join(CLAIM_IDS)}")
-    verify = verify_corpus if args.enumerate is None else verify_classes
-    outcomes = verify(claims, _corpus(args), relax_diameter=args.relax_diameter)
+    outcomes = verify_corpus(claims, _corpus(args), relax_diameter=args.relax_diameter)
     report = [o.as_dict(include_timing=args.timings) for o in outcomes]
     status = EXIT_OK if all(o.passed for o in outcomes) else EXIT_VERIFY
     return status, json.dumps(report, indent=2) + "\n"

@@ -12,7 +12,7 @@ Mycielskian mu:
 
 Failures carry the full edge list, so any report line can be replayed on
 its own. Corpus runs count graphs outside a claim's hypothesis as skipped.
-``verify_classes`` checks each isomorphism class once, weighted by size.
+A corpus item is a graph or an isomorphism class, checked once, weighted by size.
 
 The claims share facts about each graph, each computed at most once and
 only if a requested claim needs it: mu(G), the BFS distances of G and of
@@ -55,8 +55,8 @@ from .indices import (
 from .transform import mu_degrees, mu_distance_matrix, mycielskian
 
 BOUND_TOL = 1e-9
-# one isomorphism class per item: (g, members), the labeled graphs isomorphic to g
-_Classes = Iterable[tuple[Graph, Collection[Graph]]]
+# each item a graph or an isomorphism class (g, members), the labeled graphs isomorphic to g
+_Corpus = Iterable[Graph | tuple[Graph, Collection[Graph]]]
 
 
 def _fmt(value):
@@ -203,7 +203,8 @@ def _check_randic_bounds(g: Graph, shared: _Shared):
 
 def _check_randic_equality(g: Graph, shared: _Shared):
     bounds, r_mu = shared["bounds"], shared["r_mu"]
-    holds = not (abs(r_mu - bounds.lower) > BOUND_TOL or abs(r_mu - bounds.upper) > BOUND_TOL)
+    # randic_bounds' chain with its bounds swapped, so that a NaN fails here too
+    holds = bounds.upper - BOUND_TOL <= r_mu <= bounds.lower + BOUND_TOL
     return 2, holds, {"lower": bounds.lower, "upper": bounds.upper}, r_mu
 
 
@@ -223,7 +224,7 @@ CLAIM_IDS = tuple(_CLAIMS)
 
 
 def _run(
-    claims: Iterable[str], classes: _Classes, relax_diameter: bool, strict: bool
+    claims: Iterable[str], corpus: _Corpus, relax_diameter: bool, strict: bool
 ) -> list[VerificationOutcome]:
     requested = set(claims)
     unknown = requested - set(CLAIM_IDS)
@@ -233,7 +234,8 @@ def _run(
     active = [(c, *table[c]) for c in CLAIM_IDS if c in requested]
     outcomes = {c: VerificationOutcome(c) for c, _, _ in active}
 
-    for g, members in classes:
+    for item in corpus:
+        g, members = (item, (item,)) if isinstance(item, Graph) else item  # a graph: a class of one
         shared = _Shared(g=g)
         for claim, hypothesis, check in active:
             out = outcomes[claim]
@@ -269,28 +271,24 @@ def verify_graph(claim: str, g: Graph, *, relax_diameter: bool = False) -> Verif
     matches; outside diameter 2 a mismatch is an observation, not a
     refuted theorem.
     """
-    (out,) = _run([claim], [(g, (g,))], relax_diameter, strict=True)
+    (out,) = _run([claim], [g], relax_diameter, strict=True)
     return out
 
 
 def verify_corpus(
     claims: Iterable[str],
-    corpus: Iterable[Graph],
+    corpus: _Corpus,
     relax_diameter: bool = False,
 ) -> list[VerificationOutcome]:
     """Run the requested claims over every applicable corpus graph.
 
-    The corpus streams through once; graphs outside a claim's hypothesis
-    are counted as skipped for that claim. Failures are sorted by the
-    canonical edge encoding so the report is independent of corpus order.
+    Each corpus item is a graph or an isomorphism class ``(g, members)`` as
+    ``connected_classes(n)`` gives them, members a sized iterable of the
+    labeled graphs isomorphic to g; a corpus may mix both. Each claim is
+    label-free, so it runs on g and counts for ``len(members)`` graphs; if
+    it fails there, it lists the members' failures. The corpus streams
+    through once; graphs outside a claim's hypothesis are counted as
+    skipped for that claim. Failures are sorted by the canonical edge
+    encoding so the report is independent of corpus order.
     """
-    return _run(claims, ((g, (g,)) for g in corpus), relax_diameter, strict=False)
-
-
-def verify_classes(
-    claims: Iterable[str], classes: _Classes, relax_diameter: bool = False
-) -> list[VerificationOutcome]:
-    """``verify_corpus`` over isomorphism classes ``(g, members)``, members a sized iterable
-    of the labeled graphs isomorphic to g. Each claim is label-free, so it runs on g and
-    counts for ``len(members)`` graphs; if it fails there, it lists the members' failures."""
-    return _run(claims, classes, relax_diameter, strict=False)
+    return _run(claims, corpus, relax_diameter, strict=False)

@@ -12,6 +12,7 @@ from mycielski.cli import _corpus, build_parser, main
 from mycielski.generators import erdos_renyi_connected
 from mycielski.graph import _numpy_word_levels, parse_edge_list
 from mycielski.indices import randic
+from mycielski.verify import verify_corpus
 
 
 def run_cli(*args):
@@ -190,6 +191,20 @@ class TestVerify:
         assert [r["claim"] for r in report] == list(
             ("obs1", "obs2", "lemma3", "thm_dd", "randic_bounds", "randic_equality")
         )
+
+    @pytest.mark.parametrize(
+        "source", [["--enumerate", "5"], ["--family", "petersen"]], ids=["enumerate", "family"]
+    )
+    def test_every_source_takes_the_one_corpus_road(self, source, monkeypatch):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return verify_corpus(*args, **kwargs)
+
+        monkeypatch.setattr("mycielski.cli.verify_corpus", recorded)
+        status, _ = run_cli("verify", *source)
+        assert status == 0 and len(calls) == 1
 
     def test_failures_exit_4(self):
         status, out = run_cli(

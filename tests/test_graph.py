@@ -900,7 +900,7 @@ class TestDistanceSums:
         with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):
             index_report(Graph(30, zip(others, others[1:])))
 
-    @pytest.mark.parametrize("budget", [None, 2], ids=["in_words", "kernel"])
+    @pytest.mark.parametrize("budget", [None, 2], ids=["by_rule", "kernel"])
     @pytest.mark.parametrize(
         "build,handoffs",
         [
@@ -924,12 +924,12 @@ class TestDistanceSums:
     )
     def test_disconnected_rejected(self, build, handoffs, budget, monkeypatch):
         # handoffs holds the level the word levels hand off at by the rule
-        # (budget None, whose id in_words predates the rule's hand-offs) and
-        # by the stand-in stopped at level 2 (kernel); a kernel block then
-        # sees its frontier empty. None: a word level grows no row, as a
-        # matching's level 2 does. By the rule a path of 200 hands off at
-        # level 2, and a matching at level 1 from 68 vertices on, since 66
-        # leave 4224 = 64 n pairs; path24 fills no row by level 2.
+        # (budget None, id by_rule) and by the stand-in stopped at level 2
+        # (kernel); a kernel block then sees its frontier empty. None: a
+        # word level grows no row, as a matching's level 2 does. By the
+        # rule a path of 200 hands off at level 2, and a matching at level 1
+        # from 68 vertices on, since 66 leave 4224 = 64 n pairs; path24
+        # fills no row by level 2.
         calls = patch_word_levels(monkeypatch, budget)
         g = build()
         with pytest.raises(DisconnectedError, match=r"^vertex 0 cannot reach the whole graph$"):

@@ -29,7 +29,7 @@ from mycielski import verify
 from mycielski.generators import connected_classes, enumerate_connected
 from mycielski.indices import RandicBounds, dd_mycielskian_closed, randic, randic_bounds
 from mycielski.transform import mu_degrees, mu_distance_matrix
-from mycielski.verify import verify_classes, verify_corpus
+from mycielski.verify import verify_corpus
 
 
 def _bumped_when(condition):
@@ -72,7 +72,7 @@ MUTANTS = {
 def test_obs2_kills_the_mutant_on_both_paths(name, monkeypatch):
     monkeypatch.setattr("mycielski.verify.mu_distance_matrix", MUTANTS[name])
     (labeled,) = verify_corpus(["obs2"], enumerate_connected(5))
-    (by_class,) = verify_classes(["obs2"], connected_classes(5))
+    (by_class,) = verify_corpus(["obs2"], connected_classes(5))
     assert labeled.failures and by_class.failures
     # the class path lists members' own failures, each one the labeled path lists
     assert {f.edges for f in by_class.failures} <= {f.edges for f in labeled.failures}

@@ -22,7 +22,7 @@ from mycielski.generators import (
 )
 from mycielski.graph import Graph
 from mycielski.transform import mu_degrees, mu_distance_matrix
-from mycielski.verify import CLAIM_IDS, verify_classes, verify_corpus, verify_graph
+from mycielski.verify import CLAIM_IDS, verify_corpus, verify_graph
 
 
 class TestSingleGraphChecks:
@@ -74,6 +74,11 @@ class TestSingleGraphChecks:
     @pytest.mark.parametrize("g", [cycle(4), star(4), complete(2)], ids=["C4", "K1_4", "K2"])
     def test_randic_bounds(self, g):
         assert verify_graph("randic_bounds", g).passed
+
+    @pytest.mark.parametrize("claim", ["randic_bounds", "randic_equality"])
+    def test_a_nan_randic_fails_both_randic_claims(self, monkeypatch, claim):
+        monkeypatch.setattr("mycielski.verify.randic", lambda g: float("nan"))
+        assert not verify_graph(claim, cycle(5)).passed
 
     def test_randic_checked_counts_regular_equalities(self):
         assert verify_graph("randic_bounds", cycle(4)).checked == 2
@@ -207,13 +212,30 @@ class TestClasses:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_class_path_matches_the_labeled_path(self, n, relax):
         labeled = verify_corpus(CLAIM_IDS, enumerate_connected(n), relax_diameter=relax)
-        by_class = verify_classes(CLAIM_IDS, connected_classes(n), relax_diameter=relax)
+        by_class = verify_corpus(CLAIM_IDS, connected_classes(n), relax_diameter=relax)
         assert [o.as_dict(include_timing=False) for o in by_class] == [
             o.as_dict(include_timing=False) for o in labeled
         ]
         # the relaxed thm_dd fails on some classes, and all their members are listed
         failures = sum(len(o.failures) for o in labeled)
         assert failures == {(5, True): 360, (4, True): 12}.get((n, relax), 0)
+
+    @pytest.mark.parametrize("relax", [False, True], ids=["strict", "relaxed"])
+    def test_a_bare_graph_is_a_class_of_one(self, relax):
+        graphs = [g for g, _ in connected_classes(4)]
+        bare = verify_corpus(CLAIM_IDS, graphs, relax_diameter=relax)
+        singletons = verify_corpus(CLAIM_IDS, [(g, (g,)) for g in graphs], relax_diameter=relax)
+        assert [o.as_dict(include_timing=False) for o in bare] == [
+            o.as_dict(include_timing=False) for o in singletons
+        ]
+
+    def test_a_mixed_corpus_counts_each_class_per_member_and_a_graph_once(self):
+        classes = connected_classes(4)
+        mixed = verify_corpus(CLAIM_IDS, [*classes, path(5)])
+        apart = zip(verify_corpus(CLAIM_IDS, classes), verify_corpus(CLAIM_IDS, [path(5)]))
+        assert [(o.checked, o.skipped) for o in mixed] == [
+            (a.checked + b.checked, a.skipped + b.skipped) for a, b in apart
+        ]
 
     def test_members_are_built_only_for_a_failing_check(self):
         class Counted:
@@ -228,9 +250,9 @@ class TestClasses:
                 return iter(self.members)
 
         classes = [(g, Counted(members)) for g, members in connected_classes(4)]
-        verify_classes(CLAIM_IDS, classes)
+        verify_corpus(CLAIM_IDS, classes)
         assert [c.reads for _, c in classes] == [0] * 6
-        (out,) = verify_classes(["thm_dd"], classes, relax_diameter=True)
+        (out,) = verify_corpus(["thm_dd"], classes, relax_diameter=True)
         failing = {f.edges for f in out.failures}
         assert [c.reads for _, c in classes] == [
             int(any(h.edges in failing for h in c.members)) for _, c in classes
@@ -271,7 +293,7 @@ class TestSharedWork:
         classes = connected_classes(5)
         built = _record_calls(monkeypatch, "mycielskian")
         bfs = _record_calls(monkeypatch, "all_pairs_distances")
-        outcomes = verify_classes(CLAIM_IDS, classes, relax_diameter=True)
+        outcomes = verify_corpus(CLAIM_IDS, classes, relax_diameter=True)
         failing = {f.edges for o in outcomes for f in o.failures}
         others = sum(len(m) - 1 for _, m in classes if any(h.edges in failing for h in m))
         assert len(built) == len(classes) + others == 375
