@@ -16,13 +16,14 @@ A corpus item is a graph or an isomorphism class, checked once, weighted by size
 
 The claims share facts about each graph, each computed at most once and
 only if a requested claim needs it: mu(G), the BFS distances of G and of
-the built mu, R(mu), the Randić bounds of G and its hypotheses. With
-every claim, a graph costs one Mycielskian build, one BFS on G and one
-BFS on mu, even if a claim fails on it; of a failing class, the member
-equal to the class graph reuses its facts, and each other member, on
-labels of its own, gets its own. The oracles are still BFS on the
-explicitly built mu and brute-force sums; the closed forms read only G's
-data. A shared value is computed, and timed, in the first claim that
+the built mu, G's diameter, R(mu), the Randić bounds of G and its
+hypotheses. With every claim, a graph costs one Mycielskian build, one
+BFS on G and one BFS on mu, even if claims fail on it. A failing class
+gets one member pass: each member gets one context, the class graph's if
+it equals the class graph, and every claim that failed on the class
+graph reruns on it, timed to that claim. The oracles are still BFS on
+the explicitly built mu and brute-force sums; the closed forms read only
+G's data. A shared value is computed, and timed, in the first claim that
 needs it: with every claim, obs1 builds mu, obs2 runs both BFS and
 thm_dd reads their distances. The claim table alone names each claim's
 hypothesis; ``relax_diameter`` picks, once per run, the table in which
@@ -37,13 +38,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
-from .errors import (
-    DiameterNotTwoError,
-    DisconnectedError,
-    GraphError,
-    InvalidParameterError,
-    TooSmallError,
-)
+from .errors import DiameterNotTwoError, DisconnectedError, InvalidParameterError, TooSmallError
 from .graph import Graph, all_pairs_distances
 from .indices import (
     _degree_distance,
@@ -91,9 +86,10 @@ class Failure:
 class VerificationOutcome:
     """Result of running one claim over one graph or a whole corpus.
 
-    ``checked`` counts elementary comparisons (vertices for obs1, matrix
-    entries for obs2, one per graph otherwise); ``skipped`` counts corpus
-    graphs outside the claim's hypothesis.
+    ``checked`` counts elementary comparisons: vertices for obs1, matrix
+    entries for obs2, two per graph for the Randić claims, a lower and an
+    upper bound, and one per graph for lemma3 and thm_dd; ``skipped``
+    counts corpus graphs outside the claim's hypothesis.
     """
 
     claim: str
@@ -129,14 +125,9 @@ class _Shared(dict):
         return value
 
 
-def _not_two(g: Graph, shared: _Shared) -> GraphError | None:
-    diameter = int(shared["dg"].max())
-    return None if diameter == 2 else DiameterNotTwoError(diameter)
-
-
-# mu is the built Mycielskian and dg and dmu the BFS distances of G and of
-# mu. Each hypothesis maps to None if it holds or else to the error that a
-# single graph outside it raises.
+# mu is the built Mycielskian, dg and dmu the BFS distances of G and of mu,
+# diameter the largest entry of dg. Each hypothesis maps to None if it
+# holds or else to the error that a single graph outside it raises.
 _COMPUTE = {
     "mu": lambda g, s: mycielskian(g).mu,
     "dg": lambda g, s: all_pairs_distances(g),
@@ -150,7 +141,10 @@ _COMPUTE = {
         None if g.is_connected() else DisconnectedError("the claim needs a connected graph")
     ),
     "connected": lambda g, s: s["g_connected"] or s["no_isolated"],
-    "diameter_two": lambda g, s: s["g_connected"] or _not_two(g, s),
+    "diameter": lambda g, s: int(s["dg"].max()),
+    "diameter_two": lambda g, s: s["g_connected"] or (
+        None if s["diameter"] == 2 else DiameterNotTwoError(s["diameter"])
+    ),
     "regular": lambda g, s: s["no_isolated"] or (
         InvalidParameterError("the claim needs a regular graph")
         if min(g.degrees) != max(g.degrees) else None
@@ -231,32 +225,36 @@ def _run(
     if unknown:
         raise ValueError(f"unknown claim ids: {sorted(unknown)}")
     table = _RELAXED_CLAIMS if relax_diameter else _CLAIMS
-    active = [(c, *table[c]) for c in CLAIM_IDS if c in requested]
-    outcomes = {c: VerificationOutcome(c) for c, _, _ in active}
+    active = [(VerificationOutcome(c), *table[c]) for c in CLAIM_IDS if c in requested]
 
     for item in corpus:
         g, members = (item, (item,)) if isinstance(item, Graph) else item  # a graph: a class of one
-        shared = _Shared(g=g)
-        for claim, hypothesis, check in active:
-            out = outcomes[claim]
+        shared, failed = _Shared(g=g), []
+        for out, hypothesis, check in active:
             started = time.perf_counter()
             violation = shared[hypothesis]
             if violation is None:
                 checked, holds, _, _ = check(g, shared)
                 out.checked += checked * len(members)
-                for h in () if holds else members:  # each member's own failure, if g fails
-                    _, holds, expected, actual = check(h, shared if h == g else _Shared(g=h))
-                    if not holds:
-                        out.failures.append(Failure(h.edges, expected, actual))
+                if not holds:
+                    failed.append((out, check))
             elif strict:
                 raise violation
             else:
                 out.skipped += len(members)
             out.elapsed_ms += (time.perf_counter() - started) * 1000.0
+        for h in members if failed else ():  # each member's own failures, one context each
+            facts = shared if h == g else _Shared(g=h)
+            for out, check in failed:
+                started = time.perf_counter()
+                _, holds, expected, actual = check(h, facts)
+                if not holds:
+                    out.failures.append(Failure(h.edges, expected, actual))
+                out.elapsed_ms += (time.perf_counter() - started) * 1000.0
 
-    for out in outcomes.values():
+    for out, _, _ in active:
         out.failures.sort(key=lambda f: f.edges)
-    return list(outcomes.values())
+    return [out for out, _, _ in active]
 
 
 def verify_graph(claim: str, g: Graph, *, relax_diameter: bool = False) -> VerificationOutcome:

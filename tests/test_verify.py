@@ -205,6 +205,29 @@ def _record_calls(monkeypatch, name):
     return calls
 
 
+def _obs1_and_thm_dd_off_by_one(monkeypatch):
+    """Put mu's root degree and the closed-form DD(mu) off by one; return the claims they fail."""
+    import mycielski.verify as verify
+
+    closed = verify.dd_mycielskian_closed
+    monkeypatch.setattr(verify, "mu_degrees", _off_by_one_root_degree)
+    monkeypatch.setattr(verify, "dd_mycielskian_closed", lambda *a: closed(*a) + 1)
+    return ["obs1", "thm_dd"]
+
+
+def _diameter_3_accepted(monkeypatch):
+    """Accept diameter 3 as diameter 2 (test_mutants' diameter_3_accepted); return its claims."""
+    import mycielski.verify as verify
+
+    diameter_two = verify._COMPUTE["diameter_two"]
+    monkeypatch.setitem(
+        verify._COMPUTE,
+        "diameter_two",
+        lambda g, s: None if s["dg"].max() == 3 else diameter_two(g, s),
+    )
+    return ["lemma3", "thm_dd"]
+
+
 class TestClasses:
     """One check per isomorphism class gives the labeled corpus's report."""
 
@@ -237,7 +260,7 @@ class TestClasses:
             (a.checked + b.checked, a.skipped + b.skipped) for a, b in apart
         ]
 
-    def test_members_are_built_only_for_a_failing_check(self):
+    def test_members_are_built_only_for_a_failing_check(self, monkeypatch):
         class Counted:
             def __init__(self, members):
                 self.members, self.reads = members, 0
@@ -257,6 +280,11 @@ class TestClasses:
         assert [c.reads for _, c in classes] == [
             int(any(h.edges in failing for h in c.members)) for _, c in classes
         ]
+        # obs1 fails on every class and thm_dd on the diameter-2 ones, read once all the same
+        classes = [(g, Counted(members)) for g, members in connected_classes(4)]
+        obs1, thm_dd = verify_corpus(_obs1_and_thm_dd_off_by_one(monkeypatch), classes)
+        assert {f.edges for f in obs1.failures} & {f.edges for f in thm_dd.failures}
+        assert [c.reads for _, c in classes] == [1] * 6
 
 
 class TestSharedWork:
@@ -298,6 +326,30 @@ class TestSharedWork:
         others = sum(len(m) - 1 for _, m in classes if any(h.edges in failing for h in m))
         assert len(built) == len(classes) + others == 375
         assert len(bfs) == 2 * len(built)
+
+    @pytest.mark.parametrize(
+        "mutate,n,failures,builds,bfs_runs",
+        [
+            (_diameter_3_accepted, 5, [300, 300], 314, 630),
+            (_obs1_and_thm_dd_off_by_one, 4, [38, 25], 38, 52),
+        ],
+        ids=["lemma3_thm_dd", "obs1_thm_dd"],
+    )
+    def test_a_class_failing_two_claims_works_each_member_once(
+        self, monkeypatch, mutate, n, failures, builds, bfs_runs
+    ):
+        claims, classes = mutate(monkeypatch), connected_classes(n)
+        # run alone, each claim walks its failing classes' members by itself
+        alone = [verify_corpus([c], classes)[0].failures for c in claims]
+        built = _record_calls(monkeypatch, "mycielskian")
+        bfs = _record_calls(monkeypatch, "all_pairs_distances")
+        outcomes = verify_corpus(claims, classes)
+        assert [o.failures for o in outcomes] == alone
+        assert [len(f) for f in alone] == failures
+        assert len(built) == builds and len(bfs) == bfs_runs
+        # no labeled graph reaches mycielskian or all_pairs_distances twice
+        assert len({h for h, _ in built}) == len(built)
+        assert len({h for h, _ in bfs}) == len(bfs)
 
     def test_lemma3_alone_builds_no_mu(self, monkeypatch):
         built = _record_calls(monkeypatch, "mycielskian")
